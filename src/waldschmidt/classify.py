@@ -5,12 +5,12 @@ from itertools import combinations
 
 from .bezout import AuxCurveSet, build_system, solve_min_ratio
 from .engine import Engine, FormalDivisor, conclude, verify_upper
-from .fatpoints import FatPointScheme, ideal_dimension, interpolation_matrix
+from .fatpoints import FatPointScheme, interpolation_matrix
 from .geometry import (DuplicatePointError, GeometryError, NonUniqueConicError,
                        PlaneCurve, conic_through, contains,
                        cubic_with_double_point, incidence_profile,
-                       is_irreducible_conic, is_smooth_cubic, line_through,
-                       q_collinear_set)
+                       irreducible_conics, is_irreducible_conic, is_smooth_cubic,
+                       line_through, q_collinear_set)
 from .linalg import format_rational, nullspace
 
 
@@ -131,27 +131,27 @@ def _upper(divisor_terms, m, points):
     return ratio, divisor
 
 
-def _result(family, rule, points, value, cert, upper_pair, notes=()):
+def _result(rule, value, cert, upper_pair, notes=()):
     """Exact result when both certificates meet the table value, else a bracket."""
     ratio, divisor = upper_pair
     notes = list(notes)
     if cert.bound == value and ratio == value:
-        return ClassificationResult(family, value, value, value, _cite(rule),
+        return ClassificationResult(rule, value, value, value, _cite(rule),
                                     {"lower": cert, "upper": upper_pair}, notes)
     notes.append("certificates bracket [%s, %s] instead of the table value %s"
                  % (format_rational(cert.bound), format_rational(ratio),
                     format_rational(value)))
-    return ClassificationResult(family, None, cert.bound, ratio, _cite(rule),
+    return ClassificationResult(rule, None, cert.bound, ratio, _cite(rule),
                                 {"lower": cert, "upper": upper_pair}, notes)
 
 
-def _interval(family, rule, claimed_lower, cert, upper_pair, notes=()):
+def _interval(rule, claimed_lower, cert, upper_pair, notes=()):
     ratio, _ = upper_pair
     notes = list(notes)
     if claimed_lower is not None and cert.bound != claimed_lower:
         notes.append("certified LP bound %s differs from the table floor %s"
                      % (format_rational(cert.bound), format_rational(claimed_lower)))
-    return ClassificationResult(family, None, cert.bound, ratio, _cite(rule),
+    return ClassificationResult(rule, None, cert.bound, ratio, _cite(rule),
                                 {"lower": cert, "upper": upper_pair}, notes)
 
 
@@ -199,7 +199,7 @@ def _table_collinear(points, prof):
     if k == n:
         cert = _lp_lower(points, [line], ["L"])
         up = _upper([(line, 1)], 1, points)
-        return _result("all-collinear", "all-collinear", points, Fraction(1), cert, up)
+        return _result("all-collinear", Fraction(1), cert, up)
 
     if k == n - 1:
         q = rest[0]
@@ -207,15 +207,13 @@ def _table_collinear(points, prof):
         cert = _lp_lower(points, [line] + spokes,
                          ["L"] + ["Q-spoke %d" % i for i in range(len(spokes))])
         up = _upper([(line, n - 2)] + [(s, 1) for s in spokes], n - 1, points)
-        return _result("all-but-one-collinear", "all-but-one-collinear", points,
-                       Fraction(2 * n - 3, n - 1), cert, up)
+        return _result("all-but-one-collinear", Fraction(2 * n - 3, n - 1), cert, up)
 
     if k == n - 2:
         cross = line_through(rest[0], rest[1])
         cert = _lp_lower(points, [line, cross], ["L", "residual line"])
         up = _upper([(line, 1), (cross, 1)], 1, points)
-        return _result("all-but-two-collinear", "all-but-two-collinear", points,
-                       Fraction(2), cert, up)
+        return _result("all-but-two-collinear", Fraction(2), cert, up)
 
     # k == n - 3
     q1, q2, q3 = rest
@@ -223,8 +221,7 @@ def _table_collinear(points, prof):
         cross = line_through(q1, q2)
         cert = _lp_lower(points, [line, cross], ["L", "residual line"])
         up = _upper([(line, 1), (cross, 1)], 1, points)
-        return _result("residual-triple-collinear", "residual-triple-collinear",
-                       points, Fraction(2), cert, up)
+        return _result("residual-triple-collinear", Fraction(2), cert, up)
 
     sides = [line_through(q2, q3), line_through(q1, q3), line_through(q1, q2)]
     side_pts = q_collinear_set(on_line, (q1, q2, q3))
@@ -238,8 +235,7 @@ def _table_collinear(points, prof):
         cert = _lp_lower(subset, sides + [line], side_labels + ["L"],
                          subset_note="restricted to a seven-point subset")
         up = _upper([(sides[0], 1), (sides[1], 1), (sides[2], 1), (line, 2)], 2, points)
-        return _result("line-n/extended-free-points", "line-n/extended-free-points",
-                       points, Fraction(5, 2), cert, up)
+        return _result("line-n/extended-free-points", Fraction(5, 2), cert, up)
 
     try:
         if q == 3 and kk == 4:
@@ -251,8 +247,7 @@ def _table_collinear(points, prof):
             up = _upper([(spokes[0], 1), (spokes[1], 1), (spokes[2], 1),
                          (sides[0], 3), (sides[1], 3), (sides[2], 3), (line, 4)],
                         7, points)
-            return _result("line7/three-side-points", "line7/three-side-points",
-                           points, Fraction(16, 7), cert, up)
+            return _result("line7/three-side-points", Fraction(16, 7), cert, up)
 
         if (q == 3 and kk == 5) or (q == 2 and kk == 4):
             conic = conic_through(rest + free[:2])
@@ -269,7 +264,7 @@ def _table_collinear(points, prof):
                              side_labels + ["L", "conic"], subset_note=note)
             up = _upper([(sides[0], 1), (sides[1], 1), (sides[2], 1),
                          (conic, 1), (line, 2)], 3, points)
-            return _result(rule, rule, points, Fraction(7, 3), cert, up)
+            return _result(rule, Fraction(7, 3), cert, up)
 
         if (q, kk) in ((1, 4), (2, 5), (3, 6)):
             # remaining rows all certify 17/7 through the three-free-point systems
@@ -295,7 +290,7 @@ def _table_collinear(points, prof):
             up = _upper([(conics[0], 1), (conics[1], 1), (conics[2], 1),
                          (sides[0], 2), (sides[1], 2), (sides[2], 2), (line, 5)],
                         7, points)
-            return _result(rule, rule, points, Fraction(17, 7), cert, up)
+            return _result(rule, Fraction(17, 7), cert, up)
     except (NonUniqueConicError, GeometryError):
         return None
     return None
@@ -368,15 +363,12 @@ def _table_conic_external(points, prof):
                                  ["chord 1", "chord 2", "chord 3", "carrier"])
                 up = _upper([(chords[0][0], 1), (chords[1][0], 1),
                              (chords[2][0], 1), (conic, 2)], 3, points)
-                return _result("conic6/three-concurrent-chords",
-                               "conic6/three-concurrent-chords",
-                               points, Fraction(7, 3), cert, up)
+                return _result("conic6/three-concurrent-chords", Fraction(7, 3), cert, up)
             cubic = cubic_with_double_point(conic_pts, q)
             up = _upper([(cubic, 1), (conic, 1)], 2, points)
             curves, labels = _aux_for_type2(conic_pts, q, conic, chords)
             cert = _lp_lower(points, curves, labels)
-            return _result("conic6/generic-external", "conic6/generic-external",
-                           points, Fraction(5, 2), cert, up)
+            return _result("conic6/generic-external", Fraction(5, 2), cert, up)
 
         if n == 8:
             if c >= 3:
@@ -395,28 +387,23 @@ def _table_conic_external(points, prof):
                 up = _upper([(kept[0][0], 1), (kept[1][0], 1), (widow_chord, 1),
                              (line_through(leftover[0], q), 1), (conic, 3)],
                             4, points)
-                return _result("conic7/three-concurrent-chords",
-                               "conic7/three-concurrent-chords",
-                               points, Fraction(5, 2), cert, up)
+                return _result("conic7/three-concurrent-chords", Fraction(5, 2), cert, up)
             curves, labels = _aux_for_low_concurrency(conic_pts, q, conic)
             cert = _lp_lower(points, curves, labels)
             if c == 2:
                 (k1, e1), (k2, e2) = chords
                 up = _upper([(curves[0], 1), (curves[1], 1), (k1, 2), (k2, 1),
                              (conic, 3)], 5, points)
-                return _result("conic7/two-chords", "conic7/two-chords", points,
-                               Fraction(13, 5), cert, up)
+                return _result("conic7/two-chords", Fraction(13, 5), cert, up)
             if c == 1:
                 (k1, e1), = chords
                 others = [p for p in conic_pts if p not in e1]
                 cub1 = cubic_with_double_point(others + [e1[0]], q)
                 cub2 = cubic_with_double_point(others + [e1[1]], q)
                 up = _upper([(cub1, 1), (cub2, 1), (k1, 1), (conic, 3)], 5, points)
-                return _result("conic7/one-chord", "conic7/one-chord", points,
-                               Fraction(13, 5), cert, up)
+                return _result("conic7/one-chord", Fraction(13, 5), cert, up)
             up = _upper([(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, points)
-            return _interval("conic7/no-chord", "conic7/no-chord", Fraction(13, 5),
-                             cert, up,
+            return _interval("conic7/no-chord", Fraction(13, 5), cert, up,
                              notes=["exact value not settled for this family"])
 
         # n >= 9
@@ -431,9 +418,7 @@ def _table_conic_external(points, prof):
                              subset_note="restricted to a seven-point subset")
             up = _upper([(chords[0][0], 1), (chords[1][0], 1), (chords[2][0], 1),
                          (chords[3][0], 1), (conic, 3)], 4, points)
-            return _result("conic8/four-concurrent-chords",
-                           "conic8/four-concurrent-chords",
-                           points, Fraction(5, 2), cert, up)
+            return _result("conic8/four-concurrent-chords", Fraction(5, 2), cert, up)
 
         subset_pts, sub_conic_pts = _seven_point_subset(conic_pts, chords, q)
         curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic)
@@ -441,7 +426,7 @@ def _table_conic_external(points, prof):
                          subset_note="restricted to an eight-point subset")
         up = _upper([(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, points)
         rule = "conic8/low-concurrency" if n == 9 else "conic-many/external"
-        return _interval(rule, rule, Fraction(13, 5), cert, up,
+        return _interval(rule, Fraction(13, 5), cert, up,
                          notes=["exact value not settled for this family"])
     except (NonUniqueConicError, GeometryError):
         return None
@@ -494,14 +479,13 @@ def _seven_point_subset(conic_pts, chords, q):
 # ----------------------------------------------------------------- nine-point table
 
 def _table_nine(points, prof):
-    scheme = FatPointScheme.uniform(points, 1)
-    if ideal_dimension(scheme, 3) == 1:
-        cubic = PlaneCurve(3, nullspace(interpolation_matrix(scheme, 3))[0])
+    cubics = nullspace(interpolation_matrix(FatPointScheme.uniform(points, 1), 3))
+    if len(cubics) == 1:
+        cubic = PlaneCurve(3, cubics[0])
         if is_smooth_cubic(cubic):
             cert = _lp_lower(points, [cubic], ["cubic"], attested=(0,))
             up = _upper([(cubic, 1)], 1, points)
-            return _result("cubic9/smooth", "cubic9/smooth", points, Fraction(3),
-                           cert, up)
+            return _result("cubic9/smooth", Fraction(3), cert, up)
 
     by_size = {}
     for members, conic in prof.conic_subsets:
@@ -541,9 +525,7 @@ def _nine_seven_two(points, group):
             curves, labels = _aux_for_low_concurrency(sub_conic, plainer, conic)
             cert = _lp_lower(sub_conic + [plainer], curves, labels,
                              subset_note="restricted to an eight-point subset")
-            return _interval("nine/7conic+2/plain-external",
-                             "nine/7conic+2/plain-external",
-                             Fraction(13, 5), cert, up,
+            return _interval("nine/7conic+2/plain-external", Fraction(13, 5), cert, up,
                              notes=["exact value not settled for this family"])
         lines1 = {ln for ln, _ in chords1}
         lines2 = {ln for ln, _ in chords2}
@@ -567,7 +549,7 @@ def _nine_seven_two(points, group):
             else:
                 rule = "nine/7conic+2/common-chord-overlap4"
                 floor = Fraction(18, 7)
-            return _interval(rule, rule, floor, cert, up,
+            return _interval(rule, floor, cert, up,
                              notes=["exact value not settled for this family"])
         missed1 = [p for p in conic_pts
                    if all(p not in mem for _, mem in chords1)]
@@ -575,10 +557,9 @@ def _nine_seven_two(points, group):
                    if all(p not in mem for _, mem in chords2)]
         if missed1 and missed2 and missed1[0] != missed2[0]:
             rule = "nine/7conic+2/disjoint-triples"
-            return _interval(rule, rule, Fraction(122, 43), cert, up,
+            return _interval(rule, Fraction(122, 43), cert, up,
                              notes=["exact value not settled for this family"])
-        return _interval("nine/7conic+2/disjoint-triples",
-                         "nine/7conic+2/disjoint-triples", None, cert, up,
+        return _interval("nine/7conic+2/disjoint-triples", None, cert, up,
                          notes=["chord pattern outside the tabulated figures; "
                                 "certified LP bound reported"])
     except (NonUniqueConicError, GeometryError):
@@ -602,16 +583,12 @@ def _nine_six_three(points, prof, group):
         if not shared:
             cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
             up = _upper([(conic, 1), (ln, 1)], 1, points)
-            return _result("nine/6conic+3/line-avoids-conic",
-                           "nine/6conic+3/line-avoids-conic",
-                           points, Fraction(3), cert, up)
+            return _result("nine/6conic+3/line-avoids-conic", Fraction(3), cert, up)
         up3 = _upper([(conic, 1), (ln, 1)], 1, points)
         if len(shared) == 1:
             cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-            return _interval("nine/6conic+3/one-shared-point",
-                             "nine/6conic+3/one-shared-point",
-                             Fraction(58, 23), cert, up3,
-                             notes=["exact value not settled for this family"])
+            return _interval("nine/6conic+3/one-shared-point", Fraction(58, 23),
+                             cert, up3, notes=["exact value not settled for this family"])
         if len(shared) != 2:
             return None
         four = [p for p in conic_pts if p not in shared]
@@ -657,7 +634,7 @@ def _nine63_sub1(points, conic, ln, four, line_pts, off_h, up3):
     if best is None:
         return None
     floor = (Fraction(13, 5) if best_rule.endswith("plain") else Fraction(53, 21))
-    return _interval(best_rule, best_rule, floor, best, up3,
+    return _interval(best_rule, floor, best, up3,
                      notes=["exact value not settled for this family"])
 
 
@@ -683,7 +660,7 @@ def _nine63_sub2(points, conic, ln, four, line_pts, on_chords, up3):
     cert = _lp_lower(points, [conic, second, ln],
                      ["carrier", "companion conic", "line"])
     rule = "nine/6conic+3/two-shared/all-on-single-chords"
-    return _interval(rule, rule, Fraction(13, 5), cert, up3,
+    return _interval(rule, Fraction(13, 5), cert, up3,
                      notes=["exact value not settled for this family"])
 
 
@@ -701,11 +678,11 @@ def _nine63_sub3(points, conic, ln, four, line_pts, chord_map, on_chords, dbl, u
                           "double chord 1", "double chord 2"])
         up = _upper([(d1, 1), (d2, 1), (c8, 2), (c9, 2), (ln, 3), (conic, 2)],
                     5, points)
-        return _result(rule, rule, points, Fraction(13, 5), cert, up,
+        return _result(rule, Fraction(13, 5), cert, up,
                        notes=["companion mirrored configuration certified "
                               "identically"])
     cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-    return _interval(rule, rule, None, cert, up3,
+    return _interval(rule, None, cert, up3,
                      notes=["chord pattern outside the tabulated figures; "
                             "certified LP bound reported"])
 
@@ -721,7 +698,7 @@ def _nine63_sub4(points, conic, ln, four, line_pts, chord_map, on_chords, diag, 
                      ["carrier", "line", "cross 1a", "cross 1b", "cross 2a",
                       "cross 2b", "single chord"])
     rule = "nine/6conic+3/two-shared/two-double-chord-points"
-    return _interval(rule, rule, Fraction(59, 23), cert, up3,
+    return _interval(rule, Fraction(59, 23), cert, up3,
                      notes=["exact value not settled for this family"])
 
 
@@ -745,8 +722,7 @@ def _nine_five_four(points, prof):
                 continue
             cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
             up = _upper([(conic, 1), (ln, 1)], 1, points)
-            return _interval("nine/5conic+4line", "nine/5conic+4line",
-                             Fraction(23, 8), cert, up,
+            return _interval("nine/5conic+4line", Fraction(23, 8), cert, up,
                              notes=["table floor 14/5; the LP optimum 23/8 is "
                                     "the certified bound"])
     return None
@@ -769,25 +745,11 @@ def _auto_aux(points, prof, aux_cap):
             break
         curves.append(ln)
         labels.append("line %d" % len(curves))
-    conic_counts = []
-    for members, conic in prof.conic_subsets:
-        conic_counts.append((len(members), conic))
-    if not conic_counts and len(points) >= 5:
-        collinear_sets = [set(m) for m, _ in prof.collinear_groups]
-        seen_c = set()
-        for combo in combinations(range(len(points)), 5):
-            if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
-                continue
-            try:
-                conic = conic_through([points[i] for i in combo])
-            except NonUniqueConicError:
-                continue
-            if conic in seen_c or not is_irreducible_conic(conic):
-                continue
-            seen_c.add(conic)
-            cnt = sum(1 for p in points if contains(conic, p))
-            conic_counts.append((cnt, conic))
-    conic_counts.sort(key=lambda t: -t[0])
+    # the profile keeps only >=6-point conics and is capped; without one of
+    # those, every irreducible conic through five points is a candidate
+    groups = prof.conic_subsets or irreducible_conics(points, prof.collinear_groups)
+    conic_counts = sorted(((len(members), conic) for members, conic in groups),
+                          key=lambda t: -t[0])
     for cnt, conic in conic_counts:
         if len(curves) >= aux_cap:
             break

@@ -22,7 +22,7 @@ DEFAULT_PRIMES = (1000003, 1000033, 1000037)
 
 class RunConfig:
     def __init__(self, m_max=8, modular_primes=DEFAULT_PRIMES, aux_cap=40,
-                 output="text", seed=0):
+                 output="text"):
         if m_max < 1:
             raise ValueError("m_max must be >= 1")
         if len(set(modular_primes)) != len(modular_primes):
@@ -31,7 +31,6 @@ class RunConfig:
         self.modular_primes = tuple(modular_primes)
         self.aux_cap = aux_cap
         self.output = output
-        self.seed = seed
 
 
 class InputError(ValueError):
@@ -297,7 +296,6 @@ def build_parser():
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--aux-cap", type=int, default=40)
     parser.add_argument("--primes", type=int, nargs="*", default=list(DEFAULT_PRIMES))
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("classify", help="match a configuration to a family")
     p.add_argument("input")
@@ -329,8 +327,7 @@ def main(argv=None):
         cfg = RunConfig(m_max=args.m_max,
                         modular_primes=tuple(args.primes),
                         aux_cap=args.aux_cap,
-                        output="json" if args.json else "text",
-                        seed=args.seed)
+                        output="json" if args.json else "text")
         if args.command == "classify":
             return cmd_classify(args.input, cfg)
         if args.command == "alpha":

@@ -67,17 +67,18 @@ class SweepEntry:
 
 
 class Engine:
-    """Session wrapper memoizing initial degrees by scheme content and m."""
+    """Memoizes initial degrees by scheme content, m and search floor."""
 
     def __init__(self):
         self._memo = {}
 
     def alpha_uniform(self, points, m, lower_hint=None):
         scheme = FatPointScheme.uniform(points, m)
-        key = scheme.key()
+        floor = degree_floor(lower_hint, m) if lower_hint is not None else None
+        # a search from a higher floor may have skipped the true alpha
+        key = (scheme.key(), floor)
         if key in self._memo:
             return self._memo[key]
-        floor = degree_floor(lower_hint, m) if lower_hint is not None else None
         result = alpha(scheme, min_degree=floor)
         self._memo[key] = result
         return result

@@ -109,7 +109,7 @@ def ideal_dimension(scheme, d):
     """
     if d < max(scheme.mults):
         return 0
-    return monomial_count(d) - rank_exact(interpolation_matrix(scheme, d))
+    return monomial_count(d) - hilbert_function(scheme, d)
 
 
 def hilbert_function(scheme, d):
@@ -126,8 +126,9 @@ def alpha(scheme, min_degree=None):
     """Smallest degree with a nonzero form vanishing to the prescribed orders.
 
     min_degree, when given, must come from a certified lower bound: degrees
-    below it are skipped and recorded as zero-dimensional is *not* done here.
-    The search is capped at 3*max(m)*n, always reachable by a product of lines.
+    below it are skipped without being checked, and they are not recorded in
+    h0_trace.  The search is capped at 3*max(m)*n, always reachable by a
+    product of lines.
     """
     if scheme.n == 0:
         raise ValueError("scheme must be nonempty")
@@ -135,11 +136,10 @@ def alpha(scheme, min_degree=None):
     d = max(1, min_degree or 1, max(scheme.mults))
     trace = []
     while d <= cap:
-        mat = interpolation_matrix(scheme, d)
-        dim = monomial_count(d) - rank_exact(mat)
-        trace.append((d, dim))
-        if dim > 0:
-            witness = PlaneCurve(d, nullspace(mat)[0])
+        basis = nullspace(interpolation_matrix(scheme, d))
+        trace.append((d, len(basis)))
+        if basis:
+            witness = PlaneCurve(d, basis[0])
             for p, m in zip(scheme.points, scheme.mults):
                 if mult_at(witness, p) < m:
                     raise AlphaSearchError("witness fails multiplicity at %r" % (p,))

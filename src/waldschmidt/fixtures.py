@@ -115,12 +115,9 @@ CUBIC9_CURVE = PlaneCurve(3, [1, 0, 0, 0, 0, -1, 0, -1, -1, 0])
 
 def _directional(curve, direction, at):
     """Directional derivative of the form along `direction`, evaluated at `at`."""
-    total = Fraction(0)
-    for i, beta in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        d = direction.coords[i]
-        if d:
-            total += d * curve.derivative_value(beta, at)
-    return total
+    return sum(d * curve.derivative_value(beta, at)
+               for d, beta in zip(direction.coords, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+               if d)
 
 
 def _chord_third(curve, a, b):

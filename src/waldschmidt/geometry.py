@@ -3,9 +3,9 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, perm
 
-from .linalg import RatMatrix, format_rational, nullspace, parse_rational, rank_exact
+from .linalg import RatMatrix, nullspace, parse_rational, primitive, rank_exact
 
 
 class GeometryError(ValueError):
@@ -46,20 +46,13 @@ def monomial_count(d):
     return comb(d + 2, 2)
 
 
-def _normalize_int_triple(coords):
-    ints = [int(c) for c in coords]
-    if all(v == 0 for v in ints):
-        raise GeometryError("zero triple is not a projective point")
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+@lru_cache(maxsize=None)
+def _falling_factors(d, beta):
+    """Per degree-d monomial x^a, the factor prod a_i!/(a_i - beta_i)! that its
+    beta-partial brings down; 0 when some a_i < beta_i and the partial vanishes."""
+    b0, b1, b2 = beta
+    return tuple(perm(a0, b0) * perm(a1, b1) * perm(a2, b2)
+                 for a0, a1, a2 in monomials(d))
 
 
 class ProjPoint:
@@ -68,11 +61,10 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, x0, x1, x2):
-        fr = [Fraction(x0), Fraction(x1), Fraction(x2)]
-        den = 1
-        for e in fr:
-            den = den * e.denominator // gcd(den, e.denominator)
-        object.__setattr__(self, "coords", _normalize_int_triple([e * den for e in fr]))
+        coords = primitive([x0, x1, x2])
+        if not any(coords):
+            raise GeometryError("zero triple is not a projective point")
+        object.__setattr__(self, "coords", tuple(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -99,35 +91,24 @@ class ProjPoint:
 class PlaneCurve:
     """Plane curve of degree d as a primitive integer coefficient vector.
 
-    Coefficients follow the graded-lex monomial order of monomials(d).
+    Coefficients follow the graded-lex monomial order of monomials(d); the
+    constructor accepts rationals and stores the primitive ints.
     """
 
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if degree < 1:
             raise WrongDegreeError("curve degree must be >= 1")
         if len(coeffs) != monomial_count(degree):
             raise GeometryError("degree-%d curve needs %d coefficients"
                                 % (degree, monomial_count(degree)))
-        if all(c == 0 for c in coeffs):
+        ints = primitive(coeffs)
+        if not any(ints):
             raise GeometryError("zero form does not define a curve")
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-u for u in ints]
-                break
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(Fraction(v) for v in ints))
+        object.__setattr__(self, "coeffs", tuple(ints))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneCurve is immutable")
@@ -138,46 +119,22 @@ class PlaneCurve:
 
     def to_json(self):
         return {"degree": self.degree,
-                "coeffs": [format_rational(c) for c in self.coeffs]}
+                "coeffs": [str(c) for c in self.coeffs]}
 
     def evaluate(self, point):
-        x0, x1, x2 = point.coords
-        total = Fraction(0)
-        for c, (a, b, e) in zip(self.coeffs, monomials(self.degree)):
-            if c:
-                total += c * x0 ** a * x1 ** b * x2 ** e
-        return total
+        return self.derivative_value((0, 0, 0), point)
 
     def derivative_value(self, beta, point):
         """Evaluate the mixed partial derivative given by exponent triple beta."""
-        x0, x1, x2 = point.coords
-        total = Fraction(0)
-        for c, alpha in zip(self.coeffs, monomials(self.degree)):
-            if not c:
-                continue
-            term = c
-            ok = True
-            for i in range(3):
-                a, b = alpha[i], beta[i]
-                if a < b:
-                    ok = False
-                    break
-                for k in range(b):
-                    term *= a - k
-            if not ok:
-                continue
-            term *= x0 ** (alpha[0] - beta[0])
-            term *= x1 ** (alpha[1] - beta[1])
-            term *= x2 ** (alpha[2] - beta[2])
-            total += term
-        return total
+        return sum(c * v for c, v in zip(self.coeffs,
+                                         derivative_row(self.degree, point, beta)) if c)
 
     def multiply(self, other):
         """Product curve; coefficient convolution in the fixed monomial order."""
         d = self.degree + other.degree
         mons = monomials(d)
         index = {m: i for i, m in enumerate(mons)}
-        out = [Fraction(0)] * len(mons)
+        out = [0] * len(mons)
         for ca, ma in zip(self.coeffs, monomials(self.degree)):
             if not ca:
                 continue
@@ -211,32 +168,15 @@ def line_through(p, q):
 
 def evaluation_row(d, point):
     """Row of degree-d monomial values at a point."""
-    x0, x1, x2 = point.coords
-    return [Fraction(x0 ** a * x1 ** b * x2 ** c) for a, b, c in monomials(d)]
+    return derivative_row(d, point, (0, 0, 0))
 
 
 def derivative_row(d, point, beta):
     """Row of the beta-partials of the degree-d monomials, evaluated at a point."""
     x0, x1, x2 = point.coords
-    row = []
-    for alpha in monomials(d):
-        term = Fraction(1)
-        ok = True
-        for i in range(3):
-            a, b = alpha[i], beta[i]
-            if a < b:
-                ok = False
-                break
-            for k in range(b):
-                term *= a - k
-        if not ok:
-            row.append(Fraction(0))
-            continue
-        term *= x0 ** (alpha[0] - beta[0])
-        term *= x1 ** (alpha[1] - beta[1])
-        term *= x2 ** (alpha[2] - beta[2])
-        row.append(term)
-    return row
+    b0, b1, b2 = beta
+    return [f * x0 ** (a0 - b0) * x1 ** (a1 - b1) * x2 ** (a2 - b2) if f else 0
+            for f, (a0, a1, a2) in zip(_falling_factors(d, beta), monomials(d))]
 
 
 def conic_through(pts):
@@ -245,10 +185,9 @@ def conic_through(pts):
         raise GeometryError("conic_through expects exactly 5 points")
     if len(set(pts)) != 5:
         raise NonUniqueConicError("duplicated points leave a pencil of conics")
-    m = RatMatrix.from_rows([evaluation_row(2, p) for p in pts])
-    if rank_exact(m) < 5:
+    basis = nullspace(RatMatrix.from_rows([evaluation_row(2, p) for p in pts]))
+    if len(basis) != 1:
         raise NonUniqueConicError("evaluation matrix has rank < 5")
-    basis = nullspace(m)
     return PlaneCurve(2, basis[0])
 
 
@@ -327,24 +266,34 @@ def incidence_profile(points, conic_cap=12):
 
     conic_subsets = []
     if 5 <= n <= conic_cap:
-        seen_conics = set()
-        collinear_sets = [set(m) for m, _ in collinear_groups]
-        for combo in combinations(range(n), 5):
-            if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
-                continue
-            try:
-                conic = conic_through([points[k] for k in combo])
-            except NonUniqueConicError:
-                continue
-            if conic in seen_conics or not is_irreducible_conic(conic):
-                continue
-            seen_conics.add(conic)
-            members = tuple(sorted(k for k in range(n) if contains(conic, points[k])))
-            if len(members) >= 6:
-                conic_subsets.append((members, conic))
-        conic_subsets = sorted(set(conic_subsets), key=lambda t: (-len(t[0]), t[0]))
+        conic_subsets = sorted([(members, conic) for members, conic
+                                in irreducible_conics(points, collinear_groups)
+                                if len(members) >= 6],
+                               key=lambda t: (-len(t[0]), t[0]))
     return IncidenceProfile(list(points), max_collinear, witness_line,
                             collinear_groups, conic_subsets, pairwise)
+
+
+def irreducible_conics(points, collinear_groups):
+    """Each irreducible conic through five of the points, with the indices it contains.
+
+    5-subsets are enumerated in lexicographic order, skipping those with three
+    points in one of collinear_groups (pairs of member indices and line); each
+    conic is yielded once, at its first 5-subset.
+    """
+    collinear_sets = [set(m) for m, _ in collinear_groups]
+    seen = set()
+    for combo in combinations(range(len(points)), 5):
+        if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
+            continue
+        try:
+            conic = conic_through([points[k] for k in combo])
+        except NonUniqueConicError:
+            continue
+        if conic in seen or not is_irreducible_conic(conic):
+            continue
+        seen.add(conic)
+        yield tuple(k for k, p in enumerate(points) if contains(conic, p)), conic
 
 
 def concurrency_count_at(q, pts):
@@ -401,7 +350,7 @@ def cubic_with_double_point(simple, dbl):
 
 def _partial_vector(curve, i):
     d = curve.degree
-    out = [Fraction(0)] * monomial_count(d - 1)
+    out = [0] * monomial_count(d - 1)
     index = {m: k for k, m in enumerate(monomials(d - 1))}
     for c, alpha in zip(curve.coeffs, monomials(d)):
         if c and alpha[i] >= 1:
@@ -428,7 +377,7 @@ def is_smooth_cubic(curve):
     rows = []
     for quad in partials:
         for gamma in monomials(2):
-            row = [Fraction(0)] * len(quartics)
+            row = [0] * len(quartics)
             for c, beta in zip(quad, monomials(2)):
                 if c:
                     key = (beta[0] + gamma[0], beta[1] + gamma[1], beta[2] + gamma[2])
@@ -464,7 +413,7 @@ def transform_curve(t, curve):
         lines.append(list(inv[i]))
     mons = monomials(curve.degree)
     index = {m: i for i, m in enumerate(mons)}
-    out = [Fraction(0)] * len(mons)
+    out = [0] * len(mons)
     for c, alpha in zip(curve.coeffs, monomials(curve.degree)):
         if not c:
             continue
@@ -479,7 +428,7 @@ def transform_curve(t, curve):
                             key = list(mono)
                             key[j] += 1
                             key = tuple(key)
-                            new[key] = new.get(key, Fraction(0)) + coef * lines[i][j]
+                            new[key] = new.get(key, 0) + coef * lines[i][j]
                 terms = new
         for mono, coef in terms.items():
             out[index[mono]] += coef

@@ -1,7 +1,7 @@
-"""Exact rational matrices: fraction-free rank, kernels, and a modular rank filter."""
+"""Exact matrices: fraction-free rank, integer kernels, and a modular rank filter."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class BadPrimeError(ValueError):
@@ -26,12 +26,15 @@ def format_rational(q):
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals, stored row-major."""
+    """Immutable dense matrix over the rationals, stored row-major.
+
+    Integer entries are kept as int; any other entry is read as a Fraction.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = [Fraction(e) for e in entries]
+        entries = [e if isinstance(e, int) else Fraction(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError("need %d entries, got %d" % (rows * cols, len(entries)))
         object.__setattr__(self, "rows", rows)
@@ -85,22 +88,31 @@ class RatMatrix:
         return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
 
 
+def primitive(values):
+    """Coprime integers proportional to a rational vector, first nonzero entry positive.
+
+    Integer entries are used as they are; otherwise every entry is read as a
+    Fraction and the vector is scaled by the common denominator.  The zero
+    vector comes back unchanged.
+    """
+    if not all(isinstance(v, int) for v in values):
+        values = [Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*values)
+    for v in values:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    if g == 0 or g == 1:
+        return list(values)
+    return [v // g for v in values]
+
+
 def _integer_rows(m):
-    """Clear denominators row by row and strip row contents; rank and kernel are unchanged."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for e in row:
-            den = den * e.denominator // gcd(den, e.denominator)
-        ints = [int(e * den) for e in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+    """Each row as a primitive integer vector; rank and kernel are unchanged."""
+    return [primitive(m.row(i)) for i in range(m.rows)]
 
 
 def _bareiss_echelon(rows, ncols):
@@ -152,63 +164,43 @@ def _bareiss_echelon(rows, ncols):
 
 def rank_exact(m):
     """Rank of m over the rationals by fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = _integer_rows(m)
-    return len(_bareiss_echelon(rows, m.cols))
+    return len(_bareiss_echelon(_integer_rows(m), m.cols))
 
 
 def nullspace(m):
-    """Basis of the right kernel, each vector in primitive integer form.
+    """Basis of the right kernel, each vector a primitive list of ints.
 
     Vectors are produced one per free column, in column order, with the first
-    nonzero entry positive.
+    nonzero entry positive; so the kernel dimension is the length of the
+    result and the rank is m.cols minus it.  Back-substitution stays in the
+    integers: before a pivot entry is solved for, the partial vector is scaled
+    just enough for the division to be exact.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(m.cols):
-            v = [Fraction(0)] * m.cols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
+    ncols = m.cols
     rows = _integer_rows(m)
-    pivots = _bareiss_echelon(rows, m.cols)
+    pivots = _bareiss_echelon(rows, ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
         # back-substitution over the echelon rows, bottom up
         for i in range(len(pivots) - 1, -1, -1):
             pc = pivots[i]
             row = rows[i]
-            s = sum((Fraction(row[c]) * v[c] for c in range(pc + 1, m.cols) if v[c]),
-                    Fraction(0))
-            v[pc] = -s / row[pc]
-        basis.append(_primitive(v))
+            s = sum(row[c] * v[c] for c in range(pc + 1, ncols) if v[c])
+            if s:
+                p = row[pc]
+                g = gcd(s, p)
+                k = abs(p) // g
+                if k != 1:
+                    v = [x * k for x in v]
+                # p * v[pc] + k * s == 0
+                v[pc] = -(s // g) if p > 0 else s // g
+        basis.append(primitive(v))
     return basis
-
-
-def _primitive(vec):
-    """Scale a rational vector to coprime integers with first nonzero entry positive."""
-    den = 1
-    for e in vec:
-        den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return [Fraction(v) for v in ints]
 
 
 def rank_modular(m, p):
