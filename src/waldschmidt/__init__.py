@@ -2,9 +2,8 @@
 
 from .bezout import (AuxCurveSet, BezoutSystem, LowerBoundCertificate,
                      build_system, solve_min_ratio, verify_certificate)
-from .classify import ClassificationResult, classify
-from .engine import (Engine, FormalDivisor, WaldschmidtResult, conclude, sweep,
-                     verify_upper)
+from .classify import ClassificationResult, classify, conclude
+from .engine import Engine, FormalDivisor, sweep, verify_upper
 from .fatpoints import (AlphaResult, FatPointScheme, alpha, hilbert_function,
                         ideal_dimension, interpolation_matrix)
 from .fixtures import FixtureSpec, fixture, fixture_names
@@ -18,9 +17,9 @@ __all__ = [
     "AlphaResult", "AuxCurveSet", "BezoutSystem", "ClassificationResult",
     "Engine", "FatPointScheme", "FixtureSpec", "FormalDivisor",
     "IncidenceProfile", "LowerBoundCertificate", "PlaneCurve", "ProjPoint",
-    "RatMatrix", "WaldschmidtResult", "alpha", "build_system", "classify",
-    "conclude", "concurrency_count_at", "conic_through",
-    "cubic_with_double_point", "fixture", "fixture_names", "hilbert_function",
+    "RatMatrix", "alpha", "build_system", "classify", "conclude",
+    "concurrency_count_at", "conic_through", "cubic_with_double_point",
+    "fixture", "fixture_names", "hilbert_function",
     "ideal_dimension", "incidence_profile", "interpolation_matrix",
     "is_irreducible_conic", "is_smooth_cubic", "line_through", "mult_at",
     "nullspace", "q_collinear_set", "rank_exact", "rank_modular",

@@ -1,18 +1,23 @@
-"""Decision tables mapping point configurations to certified constants or brackets."""
+"""Decision tables mapping point configurations to certified constants or brackets.
+
+Each table matcher returns a `Row` (a list of candidate rows for one family)
+naming the auxiliary curves of its LP and the divisor of its upper bound, or
+None when its family does not apply.  `_certify` is the only place where rows
+meet the LP and the divisor check.
+"""
 
 from fractions import Fraction
 from itertools import combinations
 
-from .bezout import AuxCurveSet, build_system, solve_min_ratio
-from .engine import Engine, FormalDivisor, conclude, verify_upper
+from .bezout import (AuxCurveSet, UnverifiedCurveError, build_system,
+                     solve_min_ratio)
+from .engine import Engine, FormalDivisor, verify_upper
 from .fatpoints import FatPointScheme, interpolation_matrix
-from .geometry import (DuplicatePointError, GeometryError, NonUniqueConicError,
-                       PlaneCurve, conic_through, contains,
-                       cubic_with_double_point, incidence_profile,
-                       irreducible_conics, is_irreducible_conic, is_smooth_cubic,
+from .geometry import (DuplicatePointError, GeometryError, PlaneCurve,
+                       conic_through, contains, cubic_with_double_point,
+                       incidence_profile, irreducible_conics, is_smooth_cubic,
                        line_through, q_collinear_set)
 from .linalg import format_rational, nullspace
-
 
 RULES = {
     "all-collinear": "every point lies on one line; the constant is 1",
@@ -78,17 +83,30 @@ RULES = {
 }
 
 
+UNSETTLED = "exact value not settled for this family"
+OFF_TABLE = "chord pattern outside the tabulated figures; certified LP bound reported"
+SUBSET_7 = "restricted to a seven-point subset"
+SUBSET_8 = "restricted to an eight-point subset"
+
+
+class InconsistencyError(RuntimeError):
+    """A certified lower bound exceeded a certified upper bound."""
+
+
 class ClassificationResult:
     """Family verdict with exact value or bracket and attached certificates."""
 
-    def __init__(self, family, exact, lower, upper, citations, certificates, notes):
+    def __init__(self, family, exact, lower, upper, certificates, notes):
         self.family = family
         self.exact = exact
         self.lower = lower
         self.upper = upper
-        self.citations = citations
         self.certificates = certificates
         self.notes = list(notes)
+
+    @property
+    def citations(self):
+        return [(self.family, RULES[self.family])]
 
     def to_json(self):
         value = ({"exact": format_rational(self.exact)} if self.exact is not None
@@ -112,8 +130,27 @@ class ClassificationResult:
                 "certificates": certs, "notes": self.notes}
 
 
-def _cite(rule):
-    return [(rule, RULES[rule])]
+class Row:
+    """A matched table row: LP curves for the lower bound, a divisor for the upper.
+
+    value is the table constant when exact, else the table floor (None when
+    the table states none).  subset restricts the LP to some of the points;
+    the divisor of multiplicity m always covers all of them.
+    """
+
+    def __init__(self, rule, value, curves, labels, divisor, m, exact=True,
+                 subset=None, subset_note=None, attested=(), notes=()):
+        self.rule = rule
+        self.value = value
+        self.exact = exact
+        self.curves = curves
+        self.labels = labels
+        self.divisor = divisor
+        self.m = m
+        self.subset = subset
+        self.subset_note = subset_note
+        self.attested = attested
+        self.notes = list(notes)
 
 
 def _lp_lower(points, curves, labels, attested=(), subset_note=None):
@@ -125,66 +162,67 @@ def _lp_lower(points, curves, labels, attested=(), subset_note=None):
     return solve_min_ratio(system)
 
 
-def _upper(divisor_terms, m, points):
-    divisor = FormalDivisor(divisor_terms, m)
-    ratio = verify_upper(divisor, FatPointScheme.uniform(points, m))
-    return ratio, divisor
+def _certify(points, rows):
+    """Certify a row, or the candidate row with the highest LP bound.
 
-
-def _result(rule, value, cert, upper_pair, notes=()):
-    """Exact result when both certificates meet the table value, else a bracket."""
-    ratio, divisor = upper_pair
-    notes = list(notes)
-    if cert.bound == value and ratio == value:
-        return ClassificationResult(rule, value, value, value, _cite(rule),
-                                    {"lower": cert, "upper": upper_pair}, notes)
-    notes.append("certificates bracket [%s, %s] instead of the table value %s"
-                 % (format_rational(cert.bound), format_rational(ratio),
-                    format_rational(value)))
-    return ClassificationResult(rule, None, cert.bound, ratio, _cite(rule),
-                                {"lower": cert, "upper": upper_pair}, notes)
-
-
-def _interval(rule, claimed_lower, cert, upper_pair, notes=()):
-    ratio, _ = upper_pair
-    notes = list(notes)
-    if claimed_lower is not None and cert.bound != claimed_lower:
+    The verdict is exact only when the LP bound and the divisor ratio both
+    equal the table value; otherwise the two certificates bracket it.
+    """
+    if isinstance(rows, Row):
+        rows = [rows]
+    cert, row = max(((_lp_lower(r.subset or points, r.curves, r.labels,
+                                 r.attested, r.subset_note), r) for r in rows),
+                    key=lambda pair: pair[0].bound)
+    divisor = FormalDivisor(row.divisor, row.m)
+    ratio = verify_upper(divisor, FatPointScheme.uniform(points, row.m))
+    if cert.bound > ratio:
+        raise InconsistencyError("lower %s exceeds upper %s"
+                                 % (format_rational(cert.bound), format_rational(ratio)))
+    notes = list(row.notes)
+    exact = None
+    if row.exact and cert.bound == ratio == row.value:
+        exact = row.value
+    elif row.exact:
+        notes.append("certificates bracket [%s, %s] instead of the table value %s"
+                     % (format_rational(cert.bound), format_rational(ratio),
+                        format_rational(row.value)))
+    elif row.value is not None and cert.bound != row.value:
         notes.append("certified LP bound %s differs from the table floor %s"
-                     % (format_rational(cert.bound), format_rational(claimed_lower)))
-    return ClassificationResult(rule, None, cert.bound, ratio, _cite(rule),
-                                {"lower": cert, "upper": upper_pair}, notes)
+                     % (format_rational(cert.bound), format_rational(row.value)))
+    return ClassificationResult(row.rule, exact, cert.bound, ratio,
+                                {"lower": cert, "upper": (ratio, divisor)}, notes)
 
 
-def classify(points, m_max=2, aux_cap=40, conic_cap=12):
+def classify(points, m_max=2, aux_cap=40):
     """Match a configuration against the decision tables, certifying the verdict.
 
-    Tables are tried in order of increasing generality (collinear families,
-    conic-plus-external families, nine-point conic/line splits); the first
-    match wins.  Unmatched inputs go to generated-curve LP bounds plus a sweep
-    of depth m_max.  Every exact verdict carries a verified multiplier
-    certificate and a verified divisor construction of the same value.
+    Matchers are tried in order of increasing generality (collinear families,
+    conic-plus-external families, nine-point cubic and conic/line splits); the
+    first match wins.  A matcher whose construction turns out degenerate is
+    skipped, and the reason is appended to the notes of the final result.
+    Unmatched inputs go to generated-curve LP bounds plus a sweep of depth
+    m_max.  Every exact verdict carries a verified multiplier certificate and
+    a verified divisor construction of the same value.
     """
     points = list(points)
     if len(points) < 2:
         raise GeometryError("need at least two points")
     if len(set(points)) != len(points):
         raise DuplicatePointError("points must be pairwise distinct")
-    prof = incidence_profile(points, conic_cap=conic_cap)
-    n = len(points)
-
-    if n >= 7 and prof.max_collinear >= n - 3:
-        res = _table_collinear(points, prof)
-        if res is not None:
-            return res
-    if n >= 7:
-        res = _table_conic_external(points, prof)
-        if res is not None:
-            return res
-    if n == 9:
-        res = _table_nine(points, prof)
-        if res is not None:
-            return res
-    return _fallback(points, prof, m_max, aux_cap)
+    prof = incidence_profile(points)
+    rejected = []
+    for matcher in MATCHERS:
+        try:
+            rows = matcher(points, prof)
+            if rows:
+                res = _certify(points, rows)
+                break
+        except (GeometryError, UnverifiedCurveError) as exc:
+            rejected.append("%s rejected: %s" % (matcher.__name__.lstrip("_"), exc))
+    else:
+        res = _fallback(points, prof, m_max, aux_cap)
+    res.notes += rejected
+    return res
 
 
 # ---------------------------------------------------------------- collinear table
@@ -192,108 +230,69 @@ def classify(points, m_max=2, aux_cap=40, conic_cap=12):
 def _table_collinear(points, prof):
     n = len(points)
     k = prof.max_collinear
+    if n < 7 or k < n - 3:
+        return None
     line = prof.witness_line
     on_line = [p for p in points if contains(line, p)]
     rest = [p for p in points if not contains(line, p)]
 
     if k == n:
-        cert = _lp_lower(points, [line], ["L"])
-        up = _upper([(line, 1)], 1, points)
-        return _result("all-collinear", Fraction(1), cert, up)
+        return Row("all-collinear", Fraction(1), [line], ["L"], [(line, 1)], 1)
 
     if k == n - 1:
-        q = rest[0]
-        spokes = [line_through(q, p) for p in on_line]
-        cert = _lp_lower(points, [line] + spokes,
-                         ["L"] + ["Q-spoke %d" % i for i in range(len(spokes))])
-        up = _upper([(line, n - 2)] + [(s, 1) for s in spokes], n - 1, points)
-        return _result("all-but-one-collinear", Fraction(2 * n - 3, n - 1), cert, up)
+        spokes = [line_through(rest[0], p) for p in on_line]
+        return Row("all-but-one-collinear", Fraction(2 * n - 3, n - 1), [line] + spokes,
+                   ["L"] + ["Q-spoke %d" % i for i in range(len(spokes))],
+                   [(line, n - 2)] + [(s, 1) for s in spokes], n - 1)
 
-    if k == n - 2:
-        cross = line_through(rest[0], rest[1])
-        cert = _lp_lower(points, [line, cross], ["L", "residual line"])
-        up = _upper([(line, 1), (cross, 1)], 1, points)
-        return _result("all-but-two-collinear", Fraction(2), cert, up)
+    cross = line_through(rest[0], rest[1])
+    if k == n - 2 or contains(cross, rest[2]):
+        rule = "all-but-two-collinear" if k == n - 2 else "residual-triple-collinear"
+        return Row(rule, Fraction(2), [line, cross], ["L", "residual line"],
+                   [(line, 1), (cross, 1)], 1)
 
-    # k == n - 3
+    # n - 3 carrier points and a residual triangle q1 q2 q3
     q1, q2, q3 = rest
-    if contains(line_through(q1, q2), q3):
-        cross = line_through(q1, q2)
-        cert = _lp_lower(points, [line, cross], ["L", "residual line"])
-        up = _upper([(line, 1), (cross, 1)], 1, points)
-        return _result("residual-triple-collinear", Fraction(2), cert, up)
-
-    sides = [line_through(q2, q3), line_through(q1, q3), line_through(q1, q2)]
+    sides = [line_through(q2, q3), line_through(q1, q3), cross]
+    side_labels = ["side 1", "side 2", "side 3"]
     side_pts = q_collinear_set(on_line, (q1, q2, q3))
     free = [p for p in on_line if p not in side_pts]
+    # each side meets the carrier once, so q <= 3; with k >= 4 the rows
+    # below cover every (q, k) with fewer than four free carrier points
     q = len(side_pts)
-    kk = len(on_line)
-    side_labels = ["side 1", "side 2", "side 3"]
 
-    if kk - q >= 4:
-        subset = free[:4] + rest
-        cert = _lp_lower(subset, sides + [line], side_labels + ["L"],
-                         subset_note="restricted to a seven-point subset")
-        up = _upper([(sides[0], 1), (sides[1], 1), (sides[2], 1), (line, 2)], 2, points)
-        return _result("line-n/extended-free-points", Fraction(5, 2), cert, up)
+    if k - q >= 4:
+        return Row("line-n/extended-free-points", Fraction(5, 2), sides + [line],
+                   side_labels + ["L"], [(s, 1) for s in sides] + [(line, 2)], 2,
+                   subset=free[:4] + rest, subset_note=SUBSET_7)
 
-    try:
-        if q == 3 and kk == 4:
-            p4 = free[0]
-            spokes = [line_through(p4, qq) for qq in rest]
-            curves = sides + [line] + spokes
-            labels = side_labels + ["L", "spoke 1", "spoke 2", "spoke 3"]
-            cert = _lp_lower(points, curves, labels)
-            up = _upper([(spokes[0], 1), (spokes[1], 1), (spokes[2], 1),
-                         (sides[0], 3), (sides[1], 3), (sides[2], 3), (line, 4)],
-                        7, points)
-            return _result("line7/three-side-points", Fraction(16, 7), cert, up)
+    if (q, k) == (3, 4):
+        spokes = [line_through(free[0], qq) for qq in rest]
+        return Row("line7/three-side-points", Fraction(16, 7), sides + [line] + spokes,
+                   side_labels + ["L", "spoke 1", "spoke 2", "spoke 3"],
+                   [(s, 1) for s in spokes] + [(s, 3) for s in sides] + [(line, 4)], 7)
 
-        if (q == 3 and kk == 5) or (q == 2 and kk == 4):
-            conic = conic_through(rest + free[:2])
-            if not is_irreducible_conic(conic):
-                raise NonUniqueConicError("degenerate auxiliary conic")
-            if q == 2:
-                subset, note = points, None
-                rule = "line7/two-side-points"
-            else:
-                subset = [p for p in points if p != side_pts[0]]
-                note = "restricted to a seven-point subset"
-                rule = "line8/three-side-points"
-            cert = _lp_lower(subset, sides + [line, conic],
-                             side_labels + ["L", "conic"], subset_note=note)
-            up = _upper([(sides[0], 1), (sides[1], 1), (sides[2], 1),
-                         (conic, 1), (line, 2)], 3, points)
-            return _result(rule, Fraction(7, 3), cert, up)
+    if (q, k) in ((3, 5), (2, 4)):
+        conic = conic_through(rest + free[:2])
+        if q == 2:
+            rule, subset, note = "line7/two-side-points", None, None
+        else:
+            rule, subset, note = ("line8/three-side-points",
+                                  [p for p in points if p != side_pts[0]], SUBSET_7)
+        return Row(rule, Fraction(7, 3), sides + [line, conic],
+                   side_labels + ["L", "conic"],
+                   [(s, 1) for s in sides] + [(conic, 1), (line, 2)], 3,
+                   subset=subset, subset_note=note)
 
-        if (q, kk) in ((1, 4), (2, 5), (3, 6)):
-            # remaining rows all certify 17/7 through the three-free-point systems
-            if len(free) != 3:
-                return None
-            conics = [conic_through(rest + [free[i], free[j]])
-                      for i, j in ((1, 2), (0, 2), (0, 1))]
-            for c in conics:
-                if not is_irreducible_conic(c):
-                    raise NonUniqueConicError("degenerate auxiliary conic")
-            subset = free + rest + side_pts[:1]
-            note = None
-            if q > 1:
-                note = "restricted to a seven-point subset"
-            rule = {(1, 4): "line7/one-side-point",
-                    (2, 5): "line8/two-side-points",
-                    (3, 6): "line9/three-side-points"}.get((q, kk))
-            if rule is None:
-                return None
-            cert = _lp_lower(subset, conics + sides + [line],
-                             ["conic 1", "conic 2", "conic 3"] + side_labels + ["L"],
-                             subset_note=note)
-            up = _upper([(conics[0], 1), (conics[1], 1), (conics[2], 1),
-                         (sides[0], 2), (sides[1], 2), (sides[2], 2), (line, 5)],
-                        7, points)
-            return _result(rule, Fraction(17, 7), cert, up)
-    except (NonUniqueConicError, GeometryError):
-        return None
-    return None
+    # the remaining rows all certify 17/7 through the three-free-point systems
+    rule = {(1, 4): "line7/one-side-point", (2, 5): "line8/two-side-points",
+            (3, 6): "line9/three-side-points"}[(q, k)]
+    conics = [conic_through(rest + [free[i], free[j]])
+              for i, j in ((1, 2), (0, 2), (0, 1))]
+    return Row(rule, Fraction(17, 7), conics + sides + [line],
+               ["conic 1", "conic 2", "conic 3"] + side_labels + ["L"],
+               [(c, 1) for c in conics] + [(s, 2) for s in sides] + [(line, 5)], 7,
+               subset=free + rest + side_pts[:1], subset_note=SUBSET_7 if q > 1 else None)
 
 
 # ---------------------------------------------------------- conic + external table
@@ -319,117 +318,19 @@ def _aux_for_low_concurrency(conic_pts, q, conic):
         others = [p for p in conic_pts if p not in e1 and p not in e2]
         c1 = conic_through([e2[0]] + others + [q])
         c2 = conic_through([e2[1]] + others + [q])
-        curves = [c1, c2, k1, k2, conic]
-        labels = ["conic 1", "conic 2", "chord 1", "chord 2", "carrier"]
-    elif c == 1:
+        return ([c1, c2, k1, k2, conic],
+                ["conic 1", "conic 2", "chord 1", "chord 2", "carrier"])
+    if c == 1:
         (k1, e1), = chords
         others = [p for p in conic_pts if p not in e1]
-        curves = []
-        labels = []
-        for i in range(5):
-            sub = [others[j] for j in range(5) if j != i] + [q]
-            curves.append(conic_through(sub))
-            labels.append("conic %d" % (i + 1))
-        curves += [k1, conic]
-        labels += ["chord", "carrier"]
-    else:
-        spokes = [line_through(p, q) for p in conic_pts[:3]]
-        c1 = conic_through(conic_pts[3:] + [q])
-        curves = [c1] + spokes + [conic]
-        labels = ["conic 1", "spoke 1", "spoke 2", "spoke 3", "carrier"]
-    for cv in curves:
-        if cv.degree == 2 and not is_irreducible_conic(cv):
-            raise NonUniqueConicError("degenerate auxiliary conic")
-    return curves, labels
-
-
-def _table_conic_external(points, prof):
-    n = len(points)
-    group = next(((members, conic) for members, conic in prof.conic_subsets
-                  if len(members) == n - 1), None)
-    if group is None:
-        return None
-    members, conic = group
-    conic_pts = [points[i] for i in members]
-    q = next(p for i, p in enumerate(points) if i not in members)
-    chords = _chords_through(q, conic_pts)
-    c = len(chords)
-
-    try:
-        if n == 7:
-            if c >= 3:
-                curves = [ln for ln, _ in chords[:3]] + [conic]
-                cert = _lp_lower(points, curves,
-                                 ["chord 1", "chord 2", "chord 3", "carrier"])
-                up = _upper([(chords[0][0], 1), (chords[1][0], 1),
-                             (chords[2][0], 1), (conic, 2)], 3, points)
-                return _result("conic6/three-concurrent-chords", Fraction(7, 3), cert, up)
-            cubic = cubic_with_double_point(conic_pts, q)
-            up = _upper([(cubic, 1), (conic, 1)], 2, points)
-            curves, labels = _aux_for_type2(conic_pts, q, conic, chords)
-            cert = _lp_lower(points, curves, labels)
-            return _result("conic6/generic-external", Fraction(5, 2), cert, up)
-
-        if n == 8:
-            if c >= 3:
-                kept = chords[:2]
-                widow_chord, widow_members = chords[2]
-                leftover = [p for p in conic_pts
-                            if all(p not in mem for _, mem in chords)]
-                subset_pts = ([p for _, mem in kept for p in mem]
-                              + [widow_members[0]] + leftover + [q])
-                curves = [kept[0][0], kept[1][0],
-                          line_through(widow_members[0], q),
-                          line_through(leftover[0], q), conic]
-                labels = ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"]
-                cert = _lp_lower(subset_pts, curves, labels,
-                                 subset_note="restricted to a seven-point subset")
-                up = _upper([(kept[0][0], 1), (kept[1][0], 1), (widow_chord, 1),
-                             (line_through(leftover[0], q), 1), (conic, 3)],
-                            4, points)
-                return _result("conic7/three-concurrent-chords", Fraction(5, 2), cert, up)
-            curves, labels = _aux_for_low_concurrency(conic_pts, q, conic)
-            cert = _lp_lower(points, curves, labels)
-            if c == 2:
-                (k1, e1), (k2, e2) = chords
-                up = _upper([(curves[0], 1), (curves[1], 1), (k1, 2), (k2, 1),
-                             (conic, 3)], 5, points)
-                return _result("conic7/two-chords", Fraction(13, 5), cert, up)
-            if c == 1:
-                (k1, e1), = chords
-                others = [p for p in conic_pts if p not in e1]
-                cub1 = cubic_with_double_point(others + [e1[0]], q)
-                cub2 = cubic_with_double_point(others + [e1[1]], q)
-                up = _upper([(cub1, 1), (cub2, 1), (k1, 1), (conic, 3)], 5, points)
-                return _result("conic7/one-chord", Fraction(13, 5), cert, up)
-            up = _upper([(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, points)
-            return _interval("conic7/no-chord", Fraction(13, 5), cert, up,
-                             notes=["exact value not settled for this family"])
-
-        # n >= 9
-        if n == 9 and c >= 4:
-            kept = chords[:2]
-            widows = [chords[2][1][0], chords[3][1][0]]
-            subset_pts = [p for _, mem in kept for p in mem] + widows + [q]
-            curves = [kept[0][0], kept[1][0], line_through(widows[0], q),
-                      line_through(widows[1], q), conic]
-            cert = _lp_lower(subset_pts, curves,
-                             ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"],
-                             subset_note="restricted to a seven-point subset")
-            up = _upper([(chords[0][0], 1), (chords[1][0], 1), (chords[2][0], 1),
-                         (chords[3][0], 1), (conic, 3)], 4, points)
-            return _result("conic8/four-concurrent-chords", Fraction(5, 2), cert, up)
-
-        subset_pts, sub_conic_pts = _seven_point_subset(conic_pts, chords, q)
-        curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic)
-        cert = _lp_lower(subset_pts, curves, labels,
-                         subset_note="restricted to an eight-point subset")
-        up = _upper([(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, points)
-        rule = "conic8/low-concurrency" if n == 9 else "conic-many/external"
-        return _interval(rule, Fraction(13, 5), cert, up,
-                         notes=["exact value not settled for this family"])
-    except (NonUniqueConicError, GeometryError):
-        return None
+        curves = [conic_through([others[j] for j in range(5) if j != i] + [q])
+                  for i in range(5)]
+        return (curves + [k1, conic],
+                ["conic %d" % (i + 1) for i in range(5)] + ["chord", "carrier"])
+    spokes = [line_through(p, q) for p in conic_pts[:3]]
+    c1 = conic_through(conic_pts[3:] + [q])
+    return ([c1] + spokes + [conic],
+            ["conic 1", "spoke 1", "spoke 2", "spoke 3", "carrier"])
 
 
 def _aux_for_type2(conic_pts, q, conic, chords):
@@ -437,23 +338,15 @@ def _aux_for_type2(conic_pts, q, conic, chords):
     if c == 0:
         pairs = [(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5)]
         curves = [conic_through([conic_pts[i] for i in idx] + [q]) for idx in pairs]
-        curves.append(conic)
-        labels = ["conic 1", "conic 2", "conic 3", "carrier"]
-    elif c == 1:
+        return curves + [conic], ["conic 1", "conic 2", "conic 3", "carrier"]
+    if c == 1:
         k1, e1 = chords[0]
         others = [p for p in conic_pts if p not in e1]
-        curves = [k1, conic_through(others + [q]), conic]
-        labels = ["chord", "conic 1", "carrier"]
-    else:
-        (k1, e1), (k2, e2) = chords[:2]
-        leftover = [p for p in conic_pts if p not in e1 and p not in e2]
-        curves = [k1, k2, line_through(leftover[0], q), line_through(leftover[1], q),
-                  conic]
-        labels = ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"]
-    for cv in curves:
-        if cv.degree == 2 and not is_irreducible_conic(cv):
-            raise NonUniqueConicError("degenerate auxiliary conic")
-    return curves, labels
+        return [k1, conic_through(others + [q]), conic], ["chord", "conic 1", "carrier"]
+    (k1, e1), (k2, e2) = chords[:2]
+    leftover = [p for p in conic_pts if p not in e1 and p not in e2]
+    return ([k1, k2, line_through(leftover[0], q), line_through(leftover[1], q), conic],
+            ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"])
 
 
 def _seven_point_subset(conic_pts, chords, q):
@@ -476,256 +369,260 @@ def _seven_point_subset(conic_pts, chords, q):
     return kept + [q], kept
 
 
+def _table_conic_external(points, prof):
+    # the profile lists only conics through six or more points, so n >= 7
+    n = len(points)
+    group = next(((members, conic) for members, conic in prof.conic_subsets
+                  if len(members) == n - 1), None)
+    if group is None:
+        return None
+    members, conic = group
+    conic_pts = [points[i] for i in members]
+    q = next(p for i, p in enumerate(points) if i not in members)
+    chords = _chords_through(q, conic_pts)
+    c = len(chords)
+
+    if n == 7 and c >= 3:
+        lines = [ln for ln, _ in chords[:3]]
+        return Row("conic6/three-concurrent-chords", Fraction(7, 3), lines + [conic],
+                   ["chord 1", "chord 2", "chord 3", "carrier"],
+                   [(ln, 1) for ln in lines] + [(conic, 2)], 3)
+    if n == 7:
+        cubic = cubic_with_double_point(conic_pts, q)
+        curves, labels = _aux_for_type2(conic_pts, q, conic, chords)
+        return Row("conic6/generic-external", Fraction(5, 2), curves, labels,
+                   [(cubic, 1), (conic, 1)], 2)
+
+    if n == 8 and c >= 3:
+        kept = chords[:2]
+        widow_chord, widow_members = chords[2]
+        leftover = [p for p in conic_pts if all(p not in mem for _, mem in chords)]
+        spoke = line_through(leftover[0], q)
+        return Row("conic7/three-concurrent-chords", Fraction(5, 2),
+                   [kept[0][0], kept[1][0], line_through(widow_members[0], q), spoke,
+                    conic],
+                   ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"],
+                   [(kept[0][0], 1), (kept[1][0], 1), (widow_chord, 1), (spoke, 1),
+                    (conic, 3)], 4,
+                   subset=([p for _, mem in kept for p in mem] + [widow_members[0]]
+                           + leftover + [q]),
+                   subset_note=SUBSET_7)
+    if n == 8:
+        curves, labels = _aux_for_low_concurrency(conic_pts, q, conic)
+        if c == 2:
+            (k1, _), (k2, _) = chords
+            return Row("conic7/two-chords", Fraction(13, 5), curves, labels,
+                       [(curves[0], 1), (curves[1], 1), (k1, 2), (k2, 1), (conic, 3)], 5)
+        if c == 1:
+            (k1, e1), = chords
+            others = [p for p in conic_pts if p not in e1]
+            cub1 = cubic_with_double_point(others + [e1[0]], q)
+            cub2 = cubic_with_double_point(others + [e1[1]], q)
+            return Row("conic7/one-chord", Fraction(13, 5), curves, labels,
+                       [(cub1, 1), (cub2, 1), (k1, 1), (conic, 3)], 5)
+        return Row("conic7/no-chord", Fraction(13, 5), curves, labels,
+                   [(conic, 1), (line_through(q, conic_pts[0]), 1)], 1,
+                   exact=False, notes=[UNSETTLED])
+
+    if n == 9 and c >= 4:
+        kept = chords[:2]
+        widows = [chords[2][1][0], chords[3][1][0]]
+        return Row("conic8/four-concurrent-chords", Fraction(5, 2),
+                   [kept[0][0], kept[1][0], line_through(widows[0], q),
+                    line_through(widows[1], q), conic],
+                   ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"],
+                   [(ln, 1) for ln, _ in chords[:4]] + [(conic, 3)], 4,
+                   subset=[p for _, mem in kept for p in mem] + widows + [q],
+                   subset_note=SUBSET_7)
+
+    subset_pts, sub_conic_pts = _seven_point_subset(conic_pts, chords, q)
+    curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic)
+    rule = "conic8/low-concurrency" if n == 9 else "conic-many/external"
+    return Row(rule, Fraction(13, 5), curves, labels,
+               [(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, exact=False,
+               subset=subset_pts, subset_note=SUBSET_8, notes=[UNSETTLED])
+
+
 # ----------------------------------------------------------------- nine-point table
 
-def _table_nine(points, prof):
+def _cubic9(points, prof):
+    if len(points) != 9:
+        return None
     cubics = nullspace(interpolation_matrix(FatPointScheme.uniform(points, 1), 3))
-    if len(cubics) == 1:
-        cubic = PlaneCurve(3, cubics[0])
-        if is_smooth_cubic(cubic):
-            cert = _lp_lower(points, [cubic], ["cubic"], attested=(0,))
-            up = _upper([(cubic, 1)], 1, points)
-            return _result("cubic9/smooth", Fraction(3), cert, up)
+    if len(cubics) != 1:
+        return None
+    cubic = PlaneCurve(3, cubics[0])
+    if not is_smooth_cubic(cubic):
+        return None
+    return Row("cubic9/smooth", Fraction(3), [cubic], ["cubic"], [(cubic, 1)], 1,
+               attested=(0,))
 
-    by_size = {}
+
+def _nine_seven_two(points, prof):
+    # a profile conic holds every input point on it, so both externals are off it
+    group = next((g for g in prof.conic_subsets if len(g[0]) == 7), None)
+    if len(points) != 9 or group is None:
+        return None
+    members, conic = group
+    conic_pts = [points[i] for i in members]
+    e1, e2 = [p for i, p in enumerate(points) if i not in members]
+    chords1 = _chords_through(e1, conic_pts)
+    chords2 = _chords_through(e2, conic_pts)
+    divisor = [(conic, 1), (line_through(e1, e2), 1)]
+    if len(chords1) <= 2 or len(chords2) <= 2:
+        plainer = e1 if len(chords1) <= 2 else e2
+        curves, labels = _aux_for_low_concurrency(conic_pts, plainer, conic)
+        return Row("nine/7conic+2/plain-external", Fraction(13, 5), curves, labels,
+                   divisor, 1, exact=False, subset=conic_pts + [plainer],
+                   subset_note=SUBSET_8, notes=[UNSETTLED])
+    all_chords = list(dict.fromkeys(ln for ln, _ in chords1 + chords2))
+    curves = [conic] + all_chords
+    labels = ["carrier"] + ["chord %d" % (i + 1) for i in range(len(all_chords))]
+    common = {ln for ln, _ in chords1} & {ln for ln, _ in chords2}
+    if common:
+        ends1 = {p for ln, mem in chords1 if ln not in common for p in mem}
+        ends2 = {p for ln, mem in chords2 if ln not in common for p in mem}
+        if len(ends1 & ends2) == 3:
+            rule, floor = "nine/7conic+2/common-chord-overlap3", Fraction(45, 17)
+        else:
+            rule, floor = "nine/7conic+2/common-chord-overlap4", Fraction(18, 7)
+        return Row(rule, floor, curves, labels, divisor, 1, exact=False,
+                   notes=[UNSETTLED])
+    missed1 = [p for p in conic_pts if all(p not in mem for _, mem in chords1)]
+    missed2 = [p for p in conic_pts if all(p not in mem for _, mem in chords2)]
+    floor, note = None, OFF_TABLE
+    if missed1 and missed2 and missed1[0] != missed2[0]:
+        floor, note = Fraction(122, 43), UNSETTLED
+    return Row("nine/7conic+2/disjoint-triples", floor, curves, labels, divisor, 1,
+               exact=False, notes=[note])
+
+
+def _nine_six_three(points, prof):
+    if len(points) != 9:
+        return None
     for members, conic in prof.conic_subsets:
-        by_size.setdefault(len(members), []).append((members, conic))
-
-    if 7 in by_size:
-        res = _nine_seven_two(points, by_size[7][0])
-        if res is not None:
-            return res
-    if 6 in by_size:
-        for members, conic in by_size[6]:
-            res = _nine_six_three(points, prof, (members, conic))
-            if res is not None:
-                return res
-    res = _nine_five_four(points, prof)
-    if res is not None:
-        return res
+        if len(members) == 6:
+            rows = _nine63_rows(points, members, conic)
+            if rows:
+                return rows
     return None
 
 
-def _nine_seven_two(points, group):
-    members, conic = group
-    conic_pts = [points[i] for i in members]
-    ext = [p for i, p in enumerate(points) if i not in members]
-    if len(ext) != 2:
-        return None
-    e1, e2 = ext
-    if contains(conic, e1) or contains(conic, e2):
-        return None
-    try:
-        chords1 = _chords_through(e1, conic_pts)
-        chords2 = _chords_through(e2, conic_pts)
-        up = _upper([(conic, 1), (line_through(e1, e2), 1)], 1, points)
-        if len(chords1) <= 2 or len(chords2) <= 2:
-            plainer = e1 if len(chords1) <= 2 else e2
-            sub_conic = conic_pts
-            curves, labels = _aux_for_low_concurrency(sub_conic, plainer, conic)
-            cert = _lp_lower(sub_conic + [plainer], curves, labels,
-                             subset_note="restricted to an eight-point subset")
-            return _interval("nine/7conic+2/plain-external", Fraction(13, 5), cert, up,
-                             notes=["exact value not settled for this family"])
-        lines1 = {ln for ln, _ in chords1}
-        lines2 = {ln for ln, _ in chords2}
-        common = lines1 & lines2
-        all_chords = []
-        labels = []
-        seen = set()
-        for idx, (ln, _) in enumerate(chords1 + chords2):
-            if ln not in seen:
-                seen.add(ln)
-                all_chords.append(ln)
-                labels.append("chord %d" % len(all_chords))
-        cert = _lp_lower(points, [conic] + all_chords, ["carrier"] + labels)
-        if common:
-            ends1 = {p for ln, mem in chords1 if ln not in common for p in mem}
-            ends2 = {p for ln, mem in chords2 if ln not in common for p in mem}
-            overlap = len(ends1 & ends2)
-            if overlap == 3:
-                rule = "nine/7conic+2/common-chord-overlap3"
-                floor = Fraction(45, 17)
-            else:
-                rule = "nine/7conic+2/common-chord-overlap4"
-                floor = Fraction(18, 7)
-            return _interval(rule, floor, cert, up,
-                             notes=["exact value not settled for this family"])
-        missed1 = [p for p in conic_pts
-                   if all(p not in mem for _, mem in chords1)]
-        missed2 = [p for p in conic_pts
-                   if all(p not in mem for _, mem in chords2)]
-        if missed1 and missed2 and missed1[0] != missed2[0]:
-            rule = "nine/7conic+2/disjoint-triples"
-            return _interval(rule, Fraction(122, 43), cert, up,
-                             notes=["exact value not settled for this family"])
-        return _interval("nine/7conic+2/disjoint-triples", None, cert, up,
-                         notes=["chord pattern outside the tabulated figures; "
-                                "certified LP bound reported"])
-    except (NonUniqueConicError, GeometryError):
-        return None
-
-
-def _nine_six_three(points, prof, group):
-    members, conic = group
+def _nine63_rows(points, members, conic):
+    # the three points off the conic must lie on one line, which meets the
+    # irreducible conic in at most two of its six points
     conic_pts = [points[i] for i in members]
     line_pts = [p for i, p in enumerate(points) if i not in members]
-    if len(line_pts) != 3:
-        return None
     ln = line_through(line_pts[0], line_pts[1])
     if not contains(ln, line_pts[2]):
         return None
-    if any(contains(conic, p) for p in line_pts):
-        return None
     shared = [p for p in conic_pts if contains(ln, p)]
-
-    try:
-        if not shared:
-            cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-            up = _upper([(conic, 1), (ln, 1)], 1, points)
-            return _result("nine/6conic+3/line-avoids-conic", Fraction(3), cert, up)
-        up3 = _upper([(conic, 1), (ln, 1)], 1, points)
-        if len(shared) == 1:
-            cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-            return _interval("nine/6conic+3/one-shared-point", Fraction(58, 23),
-                             cert, up3, notes=["exact value not settled for this family"])
-        if len(shared) != 2:
-            return None
-        four = [p for p in conic_pts if p not in shared]
-        chord_map = {}
-        for i, j in combinations(range(4), 2):
-            chord_map[(i, j)] = line_through(four[i], four[j])
-        on_chords = {}
-        for p in line_pts:
-            on_chords[p] = [key for key, cv in chord_map.items() if contains(cv, p)]
-        off_h = [p for p in line_pts if not on_chords[p]]
-        diag = [p for p in line_pts if len(on_chords[p]) >= 2]
-
-        if off_h:
-            return _nine63_sub1(points, conic, ln, four, line_pts, off_h, up3)
-        if not diag:
-            return _nine63_sub2(points, conic, ln, four, line_pts, on_chords, up3)
-        if len(diag) == 1:
-            return _nine63_sub3(points, conic, ln, four, line_pts, chord_map,
-                                on_chords, diag[0], up3)
-        return _nine63_sub4(points, conic, ln, four, line_pts, chord_map,
-                            on_chords, diag, up3)
-    except (NonUniqueConicError, GeometryError):
-        return None
+    divisor = [(conic, 1), (ln, 1)]
+    if not shared:
+        return Row("nine/6conic+3/line-avoids-conic", Fraction(3), [conic, ln],
+                   ["carrier", "line"], divisor, 1)
+    if len(shared) == 1:
+        return Row("nine/6conic+3/one-shared-point", Fraction(58, 23), [conic, ln],
+                   ["carrier", "line"], divisor, 1, exact=False, notes=[UNSETTLED])
+    four = [p for p in conic_pts if p not in shared]
+    chord_map = {(i, j): line_through(four[i], four[j])
+                 for i, j in combinations(range(4), 2)}
+    on_chords = {p: [key for key, cv in chord_map.items() if contains(cv, p)]
+                 for p in line_pts}
+    off_h = [p for p in line_pts if not on_chords[p]]
+    diag = [p for p in line_pts if len(on_chords[p]) >= 2]
+    if off_h:
+        return _nine63_sub1(conic, ln, four, line_pts, off_h)
+    if not diag:
+        return _nine63_sub2(conic, ln, four, line_pts, on_chords)
+    if len(diag) == 1:
+        return _nine63_sub3(conic, ln, line_pts, chord_map, on_chords, diag[0])
+    return _nine63_sub4(conic, ln, line_pts, chord_map, on_chords, diag)
 
 
-def _nine63_sub1(points, conic, ln, four, line_pts, off_h, up3):
-    best = None
-    best_rule = None
+def _nine63_sub1(conic, ln, four, line_pts, off_h):
+    # a point off every chord of `four` leaves no three of the five collinear,
+    # so each companion conic is unique and irreducible
+    rows = []
     for e in off_h:
-        try:
-            second = conic_through(four + [e])
-        except NonUniqueConicError:
-            continue
-        if not is_irreducible_conic(second):
-            continue
-        hits = [p for p in line_pts if p != e and contains(second, p)]
-        rule = ("nine/6conic+3/two-shared/free-point-plain" if not hits
-                else "nine/6conic+3/two-shared/free-point-conjugate")
-        cert = _lp_lower(points, [conic, second, ln],
-                         ["carrier", "companion conic", "line"])
-        if best is None or cert.bound > best.bound:
-            best, best_rule = cert, rule
-    if best is None:
-        return None
-    floor = (Fraction(13, 5) if best_rule.endswith("plain") else Fraction(53, 21))
-    return _interval(best_rule, floor, best, up3,
-                     notes=["exact value not settled for this family"])
+        second = conic_through(four + [e])
+        if any(p != e and contains(second, p) for p in line_pts):
+            rule, floor = "nine/6conic+3/two-shared/free-point-conjugate", Fraction(53, 21)
+        else:
+            rule, floor = "nine/6conic+3/two-shared/free-point-plain", Fraction(13, 5)
+        rows.append(Row(rule, floor, [conic, second, ln],
+                        ["carrier", "companion conic", "line"], [(conic, 1), (ln, 1)], 1,
+                        exact=False, notes=[UNSETTLED]))
+    return rows
 
 
-def _nine63_sub2(points, conic, ln, four, line_pts, on_chords, up3):
-    pick = None
+def _nine63_sub2(conic, ln, four, line_pts, on_chords):
     for pa, pb in combinations(line_pts, 2):
-        (ia, ja) = on_chords[pa][0]
-        (ib, jb) = on_chords[pb][0]
-        shared = set((ia, ja)) & set((ib, jb))
-        if shared:
-            j = shared.pop()
-            i = (set((ia, ja)) - {j}).pop()
-            kq = (set((ib, jb)) - {j}).pop()
+        common = set(on_chords[pa][0]) & set(on_chords[pb][0])
+        if common:
+            j = common.pop()
+            i = (set(on_chords[pa][0]) - {j}).pop()
+            kq = (set(on_chords[pb][0]) - {j}).pop()
             e = (set(range(4)) - {i, j, kq}).pop()
-            pick = (pa, pb, i, kq, e, j)
             break
-    if pick is None:
+    else:
         return None
-    pa, pb, i, kq, e, j = pick
+    # each line point lies on one chord, never on a chord among four[i, kq, e]
     second = conic_through([four[i], four[kq], four[e], pa, pb])
-    if not is_irreducible_conic(second) or contains(second, four[j]):
+    if contains(second, four[j]):
         return None
-    cert = _lp_lower(points, [conic, second, ln],
-                     ["carrier", "companion conic", "line"])
-    rule = "nine/6conic+3/two-shared/all-on-single-chords"
-    return _interval(rule, Fraction(13, 5), cert, up3,
-                     notes=["exact value not settled for this family"])
+    return Row("nine/6conic+3/two-shared/all-on-single-chords", Fraction(13, 5),
+               [conic, second, ln], ["carrier", "companion conic", "line"],
+               [(conic, 1), (ln, 1)], 1, exact=False, notes=[UNSETTLED])
 
 
-def _nine63_sub3(points, conic, ln, four, line_pts, chord_map, on_chords, dbl, up3):
-    rest = [p for p in line_pts if p != dbl]
-    dbl_pairs = on_chords[dbl]
-    rest_pairs = [on_chords[p][0] for p in rest]
-    used = set(rest_pairs[0]) | set(rest_pairs[1])
+def _nine63_sub3(conic, ln, line_pts, chord_map, on_chords, dbl):
     rule = "nine/6conic+3/two-shared/one-double-chord-point"
-    if len(used) == 4 and len(set(rest_pairs[0]) & set(rest_pairs[1])) == 0:
-        d1, d2 = (chord_map[dbl_pairs[0]], chord_map[dbl_pairs[1]])
-        c8, c9 = (chord_map[rest_pairs[0]], chord_map[rest_pairs[1]])
-        cert = _lp_lower(points, [conic, ln, c8, c9, d1, d2],
-                         ["carrier", "line", "single chord 1", "single chord 2",
-                          "double chord 1", "double chord 2"])
-        up = _upper([(d1, 1), (d2, 1), (c8, 2), (c9, 2), (ln, 3), (conic, 2)],
-                    5, points)
-        return _result(rule, Fraction(13, 5), cert, up,
-                       notes=["companion mirrored configuration certified "
-                              "identically"])
-    cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-    return _interval(rule, None, cert, up3,
-                     notes=["chord pattern outside the tabulated figures; "
-                            "certified LP bound reported"])
+    rest_pairs = [on_chords[p][0] for p in line_pts if p != dbl]
+    if set(rest_pairs[0]) | set(rest_pairs[1]) == set(range(4)):
+        d1, d2 = (chord_map[key] for key in on_chords[dbl][:2])
+        c8, c9 = (chord_map[key] for key in rest_pairs)
+        return Row(rule, Fraction(13, 5), [conic, ln, c8, c9, d1, d2],
+                   ["carrier", "line", "single chord 1", "single chord 2",
+                    "double chord 1", "double chord 2"],
+                   [(d1, 1), (d2, 1), (c8, 2), (c9, 2), (ln, 3), (conic, 2)], 5,
+                   notes=["companion mirrored configuration certified identically"])
+    return Row(rule, None, [conic, ln], ["carrier", "line"], [(conic, 1), (ln, 1)], 1,
+               exact=False, notes=[OFF_TABLE])
 
 
-def _nine63_sub4(points, conic, ln, four, line_pts, chord_map, on_chords, diag, up3):
-    single = [p for p in line_pts if p not in diag][0]
-    if len(on_chords[single]) != 1:
-        return None
-    d1a, d1b = (chord_map[k] for k in on_chords[diag[0]][:2])
-    d2a, d2b = (chord_map[k] for k in on_chords[diag[1]][:2])
+def _nine63_sub4(conic, ln, line_pts, chord_map, on_chords, diag):
+    # three diagonal points of a quadrangle are never collinear over Q
+    single = next(p for p in line_pts if p not in diag)
+    d1a, d1b = (chord_map[key] for key in on_chords[diag[0]][:2])
+    d2a, d2b = (chord_map[key] for key in on_chords[diag[1]][:2])
     s1 = chord_map[on_chords[single][0]]
-    cert = _lp_lower(points, [conic, ln, d1a, d1b, d2a, d2b, s1],
-                     ["carrier", "line", "cross 1a", "cross 1b", "cross 2a",
-                      "cross 2b", "single chord"])
-    rule = "nine/6conic+3/two-shared/two-double-chord-points"
-    return _interval(rule, Fraction(59, 23), cert, up3,
-                     notes=["exact value not settled for this family"])
+    return Row("nine/6conic+3/two-shared/two-double-chord-points", Fraction(59, 23),
+               [conic, ln, d1a, d1b, d2a, d2b, s1],
+               ["carrier", "line", "cross 1a", "cross 1b", "cross 2a", "cross 2b",
+                "single chord"],
+               [(conic, 1), (ln, 1)], 1, exact=False, notes=[UNSETTLED])
 
 
 def _nine_five_four(points, prof):
-    for members, _ in prof.collinear_groups:
-        if len(members) == 4:
-            line_pts = [points[i] for i in members]
-            others = [p for i, p in enumerate(points) if i not in members]
-            if len(others) != 5:
-                continue
-            try:
-                conic = conic_through(others)
-            except NonUniqueConicError:
-                continue
-            if not is_irreducible_conic(conic):
-                continue
-            ln = line_through(line_pts[0], line_pts[1])
-            if any(contains(conic, p) for p in line_pts):
-                continue
-            if any(contains(ln, p) for p in others):
-                continue
-            cert = _lp_lower(points, [conic, ln], ["carrier", "line"])
-            up = _upper([(conic, 1), (ln, 1)], 1, points)
-            return _interval("nine/5conic+4line", Fraction(23, 8), cert, up,
-                             notes=["table floor 14/5; the LP optimum 23/8 is "
-                                    "the certified bound"])
+    if len(points) != 9:
+        return None
+    for members, ln in prof.collinear_groups:
+        if len(members) != 4:
+            continue
+        line_pts = [points[i] for i in members]
+        others = [p for i, p in enumerate(points) if i not in members]
+        conic = next((c for _, c in irreducible_conics(others, [])), None)
+        if conic is None or any(contains(conic, p) for p in line_pts):
+            continue
+        return Row("nine/5conic+4line", Fraction(23, 8), [conic, ln], ["carrier", "line"],
+                   [(conic, 1), (ln, 1)], 1, exact=False,
+                   notes=["table floor 14/5; the LP optimum 23/8 is the certified bound"])
     return None
+
+
+MATCHERS = [_table_collinear, _table_conic_external, _cubic9, _nine_seven_two,
+            _nine_six_three, _nine_five_four]
 
 
 # ------------------------------------------------------------------------ fallback
@@ -763,11 +660,26 @@ def _fallback(points, prof, m_max, aux_cap):
     if not curves:
         raise GeometryError("no auxiliary curves available")
     cert = _lp_lower(points, curves, labels)
-    engine = Engine()
-    trace = engine.sweep(points, m_max, lower_hint=cert.bound)
-    result = conclude([cert], [], trace)
-    notes = ["no decision-table row matched; generated-curve bounds"]
-    res = ClassificationResult("fallback/bounds", result.exact, result.lower,
-                               result.upper, _cite("fallback/bounds"),
-                               {"lower": cert, "sweep": trace}, notes)
-    return res
+    return conclude([cert], Engine().sweep(points, m_max, lower_hint=cert.bound))
+
+
+def conclude(lower_certificates, trace):
+    """Fallback verdict: the best LP bound against the least sweep ratio.
+
+    lower_certificates: verified LowerBoundCertificate objects.
+    trace: sweep entries; each ratio alpha(mX)/m is itself a certified upper
+    bound, so a lower bound above the least of them signals a bug and raises.
+    """
+    if not lower_certificates:
+        raise ValueError("need at least one lower certificate")
+    if not trace:
+        raise ValueError("need at least one upper bound")
+    cert = max(lower_certificates, key=lambda c: c.bound)
+    upper = min(e.ratio for e in trace)
+    if cert.bound > upper:
+        raise InconsistencyError("lower %s exceeds upper %s"
+                                 % (format_rational(cert.bound), format_rational(upper)))
+    return ClassificationResult(
+        "fallback/bounds", cert.bound if cert.bound == upper else None, cert.bound,
+        upper, {"lower": cert, "sweep": trace},
+        ["no decision-table row matched; generated-curve bounds"])

@@ -1,4 +1,4 @@
-"""Combine sweeps, LP lower bounds and divisor constructions into certified estimates."""
+"""Divisor upper bounds and memoized sweeps of initial degrees."""
 
 from fractions import Fraction
 
@@ -9,10 +9,6 @@ from .linalg import format_rational
 
 class InsufficientMultiplicityError(ValueError):
     pass
-
-
-class InconsistencyError(RuntimeError):
-    """A certified lower bound exceeded a certified upper bound."""
 
 
 class FormalDivisor:
@@ -93,55 +89,3 @@ class Engine:
 
 def sweep(points, m_max, lower_hint=None):
     return Engine().sweep(points, m_max, lower_hint)
-
-
-class WaldschmidtResult:
-    """Certified bracket for the asymptotic initial-degree ratio."""
-
-    def __init__(self, lower, lower_certificate, upper, upper_evidence,
-                 exact, sweep_trace):
-        self.lower = lower
-        self.lower_certificate = lower_certificate
-        self.upper = upper
-        self.upper_evidence = upper_evidence
-        self.exact = exact
-        self.sweep_trace = sweep_trace
-
-    def to_json(self):
-        lower_cert = None
-        if self.lower_certificate is not None:
-            lower_cert = self.lower_certificate.to_json()
-        return {
-            "lower": {"bound": format_rational(self.lower), "certificate": lower_cert},
-            "upper": {"bound": format_rational(self.upper),
-                      "evidence": self.upper_evidence},
-            "exact": format_rational(self.exact) if self.exact is not None else None,
-            "sweep": [e.to_json() for e in self.sweep_trace],
-        }
-
-
-def conclude(lower_certificates, upper_evidence, trace):
-    """Best certified bracket; lower > upper signals a bug and raises.
-
-    lower_certificates: list of LowerBoundCertificate (already verified).
-    upper_evidence: list of (ratio, description) from verified constructions.
-    trace: sweep entries; each ratio is itself a certified upper bound.
-    """
-    if not lower_certificates:
-        raise ValueError("need at least one lower certificate")
-    best_cert = max(lower_certificates, key=lambda c: c.bound)
-    lower = best_cert.bound
-    candidates = [(ratio, desc) for ratio, desc in upper_evidence]
-    for e in trace:
-        candidates.append((e.ratio, "sweep m=%d" % e.m))
-    if not candidates:
-        raise ValueError("need at least one upper bound")
-    upper, upper_desc = min(candidates, key=lambda t: t[0])
-    if lower > upper:
-        raise InconsistencyError("lower %s exceeds upper %s"
-                                 % (format_rational(lower), format_rational(upper)))
-    for e in trace:
-        if e.ratio < lower:
-            raise InconsistencyError("sweep ratio below certified lower bound at m=%d" % e.m)
-    exact = lower if lower == upper else None
-    return WaldschmidtResult(lower, best_cert, upper, upper_desc, exact, trace)

@@ -1,15 +1,17 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import transform_points, unimodular
-from waldschmidt.bezout import verify_certificate
-from waldschmidt.classify import classify
-from waldschmidt.engine import verify_upper
+from waldschmidt.bezout import LowerBoundCertificate, verify_certificate
+from waldschmidt.classify import InconsistencyError, classify, conclude
+from waldschmidt.engine import sweep, verify_upper
 from waldschmidt.fatpoints import FatPointScheme
-from waldschmidt.fixtures import fixture
-from waldschmidt.geometry import DuplicatePointError, ProjPoint
+from waldschmidt.fixtures import fixture, fixture_names
+from waldschmidt.geometry import DuplicatePointError, NonUniqueConicError, ProjPoint
+from waldschmidt.golden import GOLDEN
 
 F = Fraction
 
@@ -115,6 +117,55 @@ def test_fallback_on_small_generic_set():
     res = classify(pts)
     assert res.family == "fallback/bounds"
     assert res.lower <= res.upper
+
+
+def test_conclude_exact_and_interval():
+    g = GOLDEN["line7/no-side-point"]
+    cert = LowerBoundCertificate(g.bound, g.duals, g.system)
+    trace = sweep(fixture("L4Q3-D").points, 2, lower_hint=g.bound)
+    res = conclude([cert], trace)
+    assert res.exact == F(5, 2)
+    assert res.lower == res.upper == F(5, 2)
+    blob = res.to_json()
+    assert blob["value"] == {"exact": "5/2"}
+    assert blob["certificates"]["sweep"][1] == [2, "5", "5/2"]
+
+    weaker = LowerBoundCertificate(F(2), g.duals, g.system)
+    res2 = conclude([weaker], trace)
+    assert res2.exact is None
+    assert (res2.lower, res2.upper) == (F(2), F(5, 2))
+    assert res2.to_json()["value"] == {"lower": "2", "upper": "5/2"}
+
+
+def test_conclude_rejects_inverted_bracket():
+    g = GOLDEN["line7/no-side-point"]
+    lying = LowerBoundCertificate(F(4), g.duals, g.system)
+    with pytest.raises(InconsistencyError):
+        conclude([lying], sweep(fixture("L4Q3-D").points, 2))
+
+
+def test_rejected_row_is_named_in_notes(monkeypatch):
+    def no_unique_conic(pts):
+        raise NonUniqueConicError("evaluation matrix has rank < 5")
+
+    # the package re-exports the function classify under the module's name
+    module = importlib.import_module("waldschmidt.classify")
+    monkeypatch.setattr(module, "conic_through", no_unique_conic)
+    res = classify(fixture("L4Q3-B").points)
+    assert res.family == "fallback/bounds"
+    assert "table_collinear rejected: evaluation matrix has rank < 5" in res.notes
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_table_rows_agree_with_golden_floors(name):
+    res = classify(fixture(name).points)
+    g = GOLDEN.get(res.family)
+    if g is not None and g.equality:
+        assert res.lower == g.bound
+    elif g is not None:
+        assert res.lower >= g.bound
+    assert not any("differs from the table floor" in note
+                   or "instead of the table value" in note for note in res.notes)
 
 
 def test_duplicate_points_rejected():

@@ -2,14 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from waldschmidt.bezout import LowerBoundCertificate
-from waldschmidt.engine import (Engine, FormalDivisor, InconsistencyError,
-                                InsufficientMultiplicityError, conclude, sweep,
-                                verify_upper)
+from waldschmidt.engine import (Engine, FormalDivisor,
+                                InsufficientMultiplicityError, sweep, verify_upper)
 from waldschmidt.fatpoints import FatPointScheme
 from waldschmidt.fixtures import STANDARD_CONIC, fixture
 from waldschmidt.geometry import ProjPoint, cubic_with_double_point, line_through, mult_at
-from waldschmidt.golden import GOLDEN
 
 F = Fraction
 
@@ -87,30 +84,6 @@ def test_engine_memo_keyed_on_search_floor():
     assert eng.alpha_uniform(pts, 2, lower_hint=F(4)).alpha == 8
     assert eng.alpha_uniform(pts, 2).alpha == 5
     assert Engine().alpha_uniform(pts, 2).alpha == 5
-
-
-def test_conclude_exact_and_interval():
-    g = GOLDEN["line7/no-side-point"]
-    cert = LowerBoundCertificate(g.bound, g.duals, g.system)
-    trace = sweep(fixture("L4Q3-D").points, 2, lower_hint=g.bound)
-    res = conclude([cert], [(F(5, 2), "construction")], trace)
-    assert res.exact == F(5, 2)
-    assert res.lower == res.upper == F(5, 2)
-    blob = res.to_json()
-    assert blob["exact"] == "5/2"
-    assert blob["sweep"][1] == [2, "5", "5/2"]
-
-    weaker = LowerBoundCertificate(F(2), g.duals, g.system)
-    res2 = conclude([weaker], [(F(5, 2), "construction")], trace)
-    assert res2.exact is None
-    assert (res2.lower, res2.upper) == (F(2), F(5, 2))
-
-
-def test_conclude_rejects_inverted_bracket():
-    g = GOLDEN["line7/no-side-point"]
-    lying = LowerBoundCertificate(F(4), g.duals, g.system)
-    with pytest.raises(InconsistencyError):
-        conclude([lying], [(F(3), "construction")], [])
 
 
 def test_divisor_validation():
