@@ -8,7 +8,7 @@ from .fatpoints import (AlphaResult, FatPointScheme, alpha, hilbert_function,
                         ideal_dimension, interpolation_matrix)
 from .fixtures import FixtureSpec, fixture, fixture_names
 from .geometry import (IncidenceProfile, PlaneCurve, ProjPoint,
-                       concurrency_count_at, conic_through, cubic_with_double_point,
+                       chords_through, conic_through, cubic_with_double_point,
                        incidence_profile, is_irreducible_conic, is_smooth_cubic,
                        line_through, mult_at, q_collinear_set)
 from .linalg import RatMatrix, nullspace, rank_exact, rank_modular
@@ -18,7 +18,7 @@ __all__ = [
     "Engine", "FatPointScheme", "FixtureSpec", "FormalDivisor",
     "IncidenceProfile", "LowerBoundCertificate", "PlaneCurve", "ProjPoint",
     "RatMatrix", "alpha", "build_system", "classify", "conclude",
-    "concurrency_count_at", "conic_through", "cubic_with_double_point",
+    "chords_through", "conic_through", "cubic_with_double_point",
     "fixture", "fixture_names", "hilbert_function",
     "ideal_dimension", "incidence_profile", "interpolation_matrix",
     "is_irreducible_conic", "is_smooth_cubic", "line_through", "mult_at",

@@ -14,8 +14,8 @@ from .bezout import (AuxCurveSet, UnverifiedCurveError, build_system,
 from .engine import Engine, FormalDivisor, verify_upper
 from .fatpoints import FatPointScheme, interpolation_matrix
 from .geometry import (DuplicatePointError, GeometryError, PlaneCurve,
-                       conic_through, contains, cubic_with_double_point,
-                       incidence_profile, irreducible_conics, is_smooth_cubic,
+                       chords_through, conic_through, contains,
+                       cubic_with_double_point, incidence_profile, is_smooth_cubic,
                        line_through, q_collinear_set)
 from .linalg import format_rational, nullspace
 
@@ -85,8 +85,10 @@ RULES = {
 
 UNSETTLED = "exact value not settled for this family"
 OFF_TABLE = "chord pattern outside the tabulated figures; certified LP bound reported"
-SUBSET_7 = "restricted to a seven-point subset"
-SUBSET_8 = "restricted to an eight-point subset"
+SUBSET_NOTES = {7: "restricted to a seven-point subset",
+                8: "restricted to an eight-point subset"}
+# most auxiliary curves the fallback LP takes: lines first, then conics
+AUX_CAP = 40
 
 
 class InconsistencyError(RuntimeError):
@@ -139,7 +141,7 @@ class Row:
     """
 
     def __init__(self, rule, value, curves, labels, divisor, m, exact=True,
-                 subset=None, subset_note=None, attested=(), notes=()):
+                 subset=None, attested=(), notes=()):
         self.rule = rule
         self.value = value
         self.exact = exact
@@ -148,17 +150,17 @@ class Row:
         self.divisor = divisor
         self.m = m
         self.subset = subset
-        self.subset_note = subset_note
         self.attested = attested
         self.notes = list(notes)
 
 
-def _lp_lower(points, curves, labels, attested=(), subset_note=None):
-    scheme = FatPointScheme.uniform(points, 1)
+def _lp_lower(points, curves, labels, attested=(), subset=None):
+    """LP bound over all the points, or over subset when one is given."""
+    scheme = FatPointScheme.uniform(subset or points, 1)
     aux = AuxCurveSet.build(scheme, curves, labels=labels, attested=attested)
     system = build_system(scheme, aux)
-    if subset_note:
-        system.note = subset_note
+    if subset and len(subset) < len(points):
+        system.note = SUBSET_NOTES[len(subset)]
     return solve_min_ratio(system)
 
 
@@ -170,8 +172,8 @@ def _certify(points, rows):
     """
     if isinstance(rows, Row):
         rows = [rows]
-    cert, row = max(((_lp_lower(r.subset or points, r.curves, r.labels,
-                                 r.attested, r.subset_note), r) for r in rows),
+    cert, row = max(((_lp_lower(points, r.curves, r.labels, r.attested, r.subset), r)
+                     for r in rows),
                     key=lambda pair: pair[0].bound)
     divisor = FormalDivisor(row.divisor, row.m)
     ratio = verify_upper(divisor, FatPointScheme.uniform(points, row.m))
@@ -193,7 +195,7 @@ def _certify(points, rows):
                                 {"lower": cert, "upper": (ratio, divisor)}, notes)
 
 
-def classify(points, m_max=2, aux_cap=40):
+def classify(points, m_max=2):
     """Match a configuration against the decision tables, certifying the verdict.
 
     Matchers are tried in order of increasing generality (collinear families,
@@ -220,7 +222,7 @@ def classify(points, m_max=2, aux_cap=40):
         except (GeometryError, UnverifiedCurveError) as exc:
             rejected.append("%s rejected: %s" % (matcher.__name__.lstrip("_"), exc))
     else:
-        res = _fallback(points, prof, m_max, aux_cap)
+        res = _fallback(points, prof, m_max)
     res.notes += rejected
     return res
 
@@ -233,8 +235,8 @@ def _table_collinear(points, prof):
     if n < 7 or k < n - 3:
         return None
     line = prof.witness_line
-    on_line = [p for p in points if contains(line, p)]
-    rest = [p for p in points if not contains(line, p)]
+    on_line = [points[i] for i in prof.lines[line]]
+    rest = [p for i, p in enumerate(points) if i not in prof.lines[line]]
 
     if k == n:
         return Row("all-collinear", Fraction(1), [line], ["L"], [(line, 1)], 1)
@@ -264,7 +266,7 @@ def _table_collinear(points, prof):
     if k - q >= 4:
         return Row("line-n/extended-free-points", Fraction(5, 2), sides + [line],
                    side_labels + ["L"], [(s, 1) for s in sides] + [(line, 2)], 2,
-                   subset=free[:4] + rest, subset_note=SUBSET_7)
+                   subset=free[:4] + rest)
 
     if (q, k) == (3, 4):
         spokes = [line_through(free[0], qq) for qq in rest]
@@ -275,14 +277,13 @@ def _table_collinear(points, prof):
     if (q, k) in ((3, 5), (2, 4)):
         conic = conic_through(rest + free[:2])
         if q == 2:
-            rule, subset, note = "line7/two-side-points", None, None
+            rule, subset = "line7/two-side-points", None
         else:
-            rule, subset, note = ("line8/three-side-points",
-                                  [p for p in points if p != side_pts[0]], SUBSET_7)
+            rule, subset = ("line8/three-side-points",
+                            [p for p in points if p != side_pts[0]])
         return Row(rule, Fraction(7, 3), sides + [line, conic],
                    side_labels + ["L", "conic"],
-                   [(s, 1) for s in sides] + [(conic, 1), (line, 2)], 3,
-                   subset=subset, subset_note=note)
+                   [(s, 1) for s in sides] + [(conic, 1), (line, 2)], 3, subset=subset)
 
     # the remaining rows all certify 17/7 through the three-free-point systems
     rule = {(1, 4): "line7/one-side-point", (2, 5): "line8/two-side-points",
@@ -292,26 +293,14 @@ def _table_collinear(points, prof):
     return Row(rule, Fraction(17, 7), conics + sides + [line],
                ["conic 1", "conic 2", "conic 3"] + side_labels + ["L"],
                [(c, 1) for c in conics] + [(s, 2) for s in sides] + [(line, 5)], 7,
-               subset=free + rest + side_pts[:1], subset_note=SUBSET_7 if q > 1 else None)
+               subset=free + rest + side_pts[:1])
 
 
 # ---------------------------------------------------------- conic + external table
 
-def _chords_through(q, conic_pts):
-    chords = {}
-    for a, b in combinations(conic_pts, 2):
-        ln = line_through(a, b)
-        if contains(ln, q):
-            chords.setdefault(ln, set()).update((a, b))
-    return [(ln, sorted(members, key=conic_pts.index))
-            for ln, members in sorted(chords.items(),
-                                      key=lambda kv: min(conic_pts.index(p)
-                                                         for p in kv[1]))]
-
-
 def _aux_for_low_concurrency(conic_pts, q, conic):
     """Curves certifying 13/5 for seven conic points and an external on <=2 chords."""
-    chords = _chords_through(q, conic_pts)
+    chords = chords_through(q, conic_pts)
     c = len(chords)
     if c == 2:
         (k1, e1), (k2, e2) = chords
@@ -379,7 +368,7 @@ def _table_conic_external(points, prof):
     members, conic = group
     conic_pts = [points[i] for i in members]
     q = next(p for i, p in enumerate(points) if i not in members)
-    chords = _chords_through(q, conic_pts)
+    chords = chords_through(q, conic_pts)
     c = len(chords)
 
     if n == 7 and c >= 3:
@@ -405,8 +394,7 @@ def _table_conic_external(points, prof):
                    [(kept[0][0], 1), (kept[1][0], 1), (widow_chord, 1), (spoke, 1),
                     (conic, 3)], 4,
                    subset=([p for _, mem in kept for p in mem] + [widow_members[0]]
-                           + leftover + [q]),
-                   subset_note=SUBSET_7)
+                           + leftover + [q]))
     if n == 8:
         curves, labels = _aux_for_low_concurrency(conic_pts, q, conic)
         if c == 2:
@@ -432,15 +420,14 @@ def _table_conic_external(points, prof):
                     line_through(widows[1], q), conic],
                    ["chord 1", "chord 2", "spoke 1", "spoke 2", "carrier"],
                    [(ln, 1) for ln, _ in chords[:4]] + [(conic, 3)], 4,
-                   subset=[p for _, mem in kept for p in mem] + widows + [q],
-                   subset_note=SUBSET_7)
+                   subset=[p for _, mem in kept for p in mem] + widows + [q])
 
     subset_pts, sub_conic_pts = _seven_point_subset(conic_pts, chords, q)
     curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic)
     rule = "conic8/low-concurrency" if n == 9 else "conic-many/external"
     return Row(rule, Fraction(13, 5), curves, labels,
                [(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, exact=False,
-               subset=subset_pts, subset_note=SUBSET_8, notes=[UNSETTLED])
+               subset=subset_pts, notes=[UNSETTLED])
 
 
 # ----------------------------------------------------------------- nine-point table
@@ -466,15 +453,15 @@ def _nine_seven_two(points, prof):
     members, conic = group
     conic_pts = [points[i] for i in members]
     e1, e2 = [p for i, p in enumerate(points) if i not in members]
-    chords1 = _chords_through(e1, conic_pts)
-    chords2 = _chords_through(e2, conic_pts)
+    chords1 = chords_through(e1, conic_pts)
+    chords2 = chords_through(e2, conic_pts)
     divisor = [(conic, 1), (line_through(e1, e2), 1)]
     if len(chords1) <= 2 or len(chords2) <= 2:
         plainer = e1 if len(chords1) <= 2 else e2
         curves, labels = _aux_for_low_concurrency(conic_pts, plainer, conic)
         return Row("nine/7conic+2/plain-external", Fraction(13, 5), curves, labels,
                    divisor, 1, exact=False, subset=conic_pts + [plainer],
-                   subset_note=SUBSET_8, notes=[UNSETTLED])
+                   notes=[UNSETTLED])
     all_chords = list(dict.fromkeys(ln for ln, _ in chords1 + chords2))
     curves = [conic] + all_chords
     labels = ["carrier"] + ["chord %d" % (i + 1) for i in range(len(all_chords))]
@@ -610,10 +597,10 @@ def _nine_five_four(points, prof):
     for members, ln in prof.collinear_groups:
         if len(members) != 4:
             continue
-        line_pts = [points[i] for i in members]
-        others = [p for i, p in enumerate(points) if i not in members]
-        conic = next((c for _, c in irreducible_conics(others, [])), None)
-        if conic is None or any(contains(conic, p) for p in line_pts):
+        # an irreducible conic through the five others that misses the line points
+        others = tuple(i for i in range(len(points)) if i not in members)
+        conic = next((c for c, on in prof.conics.items() if on == others), None)
+        if conic is None:
             continue
         return Row("nine/5conic+4line", Fraction(23, 8), [conic, ln], ["carrier", "line"],
                    [(conic, 1), (ln, 1)], 1, exact=False,
@@ -627,36 +614,23 @@ MATCHERS = [_table_collinear, _table_conic_external, _cubic9, _nine_seven_two,
 
 # ------------------------------------------------------------------------ fallback
 
-def _auto_aux(points, prof, aux_cap):
-    curves = []
-    labels = []
-    counts = {}
-    order = {}
-    for (i, j), ln in sorted(prof.pairwise_lines.items()):
-        if ln not in counts:
-            counts[ln] = sum(1 for p in points if contains(ln, p))
-            order[ln] = len(order)
-    line_counts = sorted(counts.items(), key=lambda kv: (-kv[1], order[kv[0]]))
-    for ln, cnt in line_counts:
-        if len(curves) >= aux_cap:
-            break
-        curves.append(ln)
-        labels.append("line %d" % len(curves))
-    # the profile keeps only >=6-point conics and is capped; without one of
-    # those, every irreducible conic through five points is a candidate
-    groups = prof.conic_subsets or irreducible_conics(points, prof.collinear_groups)
-    conic_counts = sorted(((len(members), conic) for members, conic in groups),
-                          key=lambda t: -t[0])
-    for cnt, conic in conic_counts:
-        if len(curves) >= aux_cap:
-            break
-        curves.append(conic)
-        labels.append("conic %d" % len(curves))
+def _auto_aux(prof):
+    """Up to AUX_CAP curves: the lines by point count, then the conics.
+
+    The conics are those through six or more points when there are any, else
+    every irreducible conic through five; ties keep the profile's order.
+    """
+    lines = sorted(prof.lines, key=lambda ln: -len(prof.lines[ln]))
+    conics = ([c for _, c in prof.conic_subsets]
+              or sorted(prof.conics, key=lambda c: -len(prof.conics[c])))
+    curves = (lines + conics)[:AUX_CAP]
+    labels = ["%s %d" % ("line" if c.degree == 1 else "conic", i + 1)
+              for i, c in enumerate(curves)]
     return curves, labels
 
 
-def _fallback(points, prof, m_max, aux_cap):
-    curves, labels = _auto_aux(points, prof, aux_cap)
+def _fallback(points, prof, m_max):
+    curves, labels = _auto_aux(prof)
     if not curves:
         raise GeometryError("no auxiliary curves available")
     cert = _lp_lower(points, curves, labels)

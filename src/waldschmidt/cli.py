@@ -8,7 +8,7 @@ from .bezout import build_system, parse_aux_spec, solve_min_ratio, verify_certif
 from .classify import classify
 from .engine import (Engine, FormalDivisor, InsufficientMultiplicityError,
                      verify_upper)
-from .fatpoints import FatPointScheme, alpha
+from .fatpoints import FatPointScheme, alpha, degree_floor
 from .fixtures import UnknownFixtureError, fixture, fixture_names
 from .geometry import GeometryError, PlaneCurve, conic_through, line_through
 from .linalg import format_rational
@@ -21,15 +21,13 @@ DEFAULT_PRIMES = (1000003, 1000033, 1000037)
 
 
 class RunConfig:
-    def __init__(self, m_max=8, modular_primes=DEFAULT_PRIMES, aux_cap=40,
-                 output="text"):
+    def __init__(self, m_max=8, modular_primes=DEFAULT_PRIMES, output="text"):
         if m_max < 1:
             raise ValueError("m_max must be >= 1")
         if len(set(modular_primes)) != len(modular_primes):
             raise ValueError("primes must be distinct")
         self.m_max = m_max
         self.modular_primes = tuple(modular_primes)
-        self.aux_cap = aux_cap
         self.output = output
 
 
@@ -65,7 +63,7 @@ def _emit(payload, cfg, text_lines):
 
 def cmd_classify(path, cfg):
     scheme = _parse_points(_load_json(path))
-    res = classify(list(scheme.points), m_max=cfg.m_max, aux_cap=cfg.aux_cap)
+    res = classify(list(scheme.points), m_max=cfg.m_max)
     payload = res.to_json()
     lines = ["family: %s" % res.family]
     if res.exact is not None:
@@ -186,45 +184,33 @@ def cmd_fixture(name, cfg):
     return EXIT_OK
 
 
-def check_points(points, cfg, expected=None, label="input"):
-    """Classify, then re-derive both sides independently; returns problem list."""
+def check_points(points, cfg, expected=None):
+    """Classify, then re-derive both sides independently; returns problem list.
+
+    Each alpha(mX) is searched from one degree below its certified floor, so
+    a lower bound that is too high shows up as an alpha below the floor.
+    """
     problems = []
-    res = classify(points, m_max=min(cfg.m_max, 2), aux_cap=cfg.aux_cap)
+    res = classify(points, m_max=min(cfg.m_max, 2))
     lower_cert = res.certificates.get("lower")
     if lower_cert is not None and not verify_certificate(lower_cert):
         problems.append("lower certificate failed independent verification")
-    engine = Engine()
     if res.exact is not None:
         value = res.exact
+        # the divisor's multiplicity attains the value; a fallback's sweep
+        # attains it at its denominator
+        depth = value.denominator
         upper = res.certificates.get("upper")
-        if upper is None:
-            # fallback exactness is witnessed by the sweep instead of a divisor
-            m_att = value.denominator
-            trace = engine.sweep(points, m_att, lower_hint=value)
-            if trace[m_att - 1].alpha != value * m_att:
-                problems.append("sweep does not attain %s at m=%d"
-                                % (format_rational(value), m_att))
-        else:
-            ratio, divisor = upper
+        if upper is not None:
+            _, divisor = upper
+            depth = divisor.m
             try:
-                again = verify_upper(divisor, FatPointScheme.uniform(points,
-                                                                     divisor.m))
+                again = verify_upper(divisor, FatPointScheme.uniform(points, depth))
+                if again != value:
+                    problems.append("upper construction ratio %s != %s"
+                                    % (format_rational(again), format_rational(value)))
             except InsufficientMultiplicityError as exc:
                 problems.append("upper construction rejected on recheck: %s" % exc)
-                again = None
-            if again is not None and again != value:
-                problems.append("upper construction ratio %s != %s"
-                                % (format_rational(again), format_rational(value)))
-            if again is not None:
-                m_att = divisor.m
-                trace = engine.sweep(points, m_att, lower_hint=value)
-                if trace[m_att - 1].alpha != value * m_att:
-                    problems.append("sweep does not attain %s at m=%d"
-                                    % (format_rational(value), m_att))
-                for e in trace:
-                    if e.ratio < value:
-                        problems.append("sweep ratio below certified value at m=%d"
-                                        % e.m)
         if lower_cert is not None and lower_cert.bound != value:
             problems.append("lower bound %s != exact value %s"
                             % (format_rational(lower_cert.bound),
@@ -233,11 +219,15 @@ def check_points(points, cfg, expected=None, label="input"):
         if res.lower > res.upper:
             problems.append("inverted interval")
         depth = min(cfg.m_max, 2)
-        trace = engine.sweep(points, depth, lower_hint=res.lower)
-        for e in trace:
-            if e.ratio < res.lower:
-                problems.append("sweep ratio below certified lower bound at m=%d"
-                                % e.m)
+    for m in range(1, depth + 1):
+        floor = degree_floor(res.lower, m)
+        found = alpha(FatPointScheme.uniform(points, m), min_degree=floor - 1).alpha
+        if found < floor:
+            problems.append("alpha(%dX) = %d is below the certified floor %d"
+                            % (m, found, floor))
+        if m == depth and res.exact is not None and found != res.exact * m:
+            problems.append("alpha(%dX) = %d does not attain %s"
+                            % (m, found, format_rational(res.exact)))
     if expected is not None:
         if expected.kind == "exact":
             if res.exact != expected.value:
@@ -275,7 +265,7 @@ def cmd_check(path, fixture_name, all_fixtures, cfg):
             expected = fx.expected
         else:
             expected = None
-        res, problems = check_points(points, cfg, expected=expected, label=label)
+        res, problems = check_points(points, cfg, expected=expected)
         verdict = ("exact %s" % format_rational(res.exact) if res.exact is not None
                    else "[%s, %s]" % (format_rational(res.lower),
                                       format_rational(res.upper)))
@@ -294,7 +284,6 @@ def build_parser():
                     "schemes in the projective plane.")
     parser.add_argument("--m-max", type=int, default=8)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--aux-cap", type=int, default=40)
     parser.add_argument("--primes", type=int, nargs="*", default=list(DEFAULT_PRIMES))
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("classify", help="match a configuration to a family")
@@ -326,7 +315,6 @@ def main(argv=None):
     try:
         cfg = RunConfig(m_max=args.m_max,
                         modular_primes=tuple(args.primes),
-                        aux_cap=args.aux_cap,
                         output="json" if args.json else "text")
         if args.command == "classify":
             return cmd_classify(args.input, cfg)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import (PlaneCurve, ProjPoint, concurrency_count_at, contains,
+from .geometry import (PlaneCurve, ProjPoint, chords_through, contains,
                        is_smooth_cubic, q_collinear_set)
 
 
@@ -104,7 +104,7 @@ def _conic_fixture(name, ts, q, c_expected, expected, rule, notes=()):
     _check_off_conic([q])
     all_pts = pts + [q]
     _check_distinct(all_pts)
-    c = concurrency_count_at(q, pts)
+    c = len(chords_through(q, pts))
     if c != c_expected:
         raise FixtureError("%s: expected concurrency %d, found %d" % (name, c_expected, c))
     return FixtureSpec(name, all_pts, expected, rule, notes)

@@ -1,7 +1,7 @@
 """Exact projective-plane primitives: points, curves, incidence and multiplicity."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, perm
 
@@ -219,59 +219,47 @@ def contains(curve, point):
 
 
 class IncidenceProfile:
-    """Collinearity and conic membership data for a point list."""
+    """Every line through two of the points and every irreducible conic through five.
 
-    def __init__(self, points, max_collinear, witness_line, collinear_groups,
-                 conic_subsets, pairwise_lines):
-        self.points = points
-        self.max_collinear = max_collinear
-        self.witness_line = witness_line
-        self.collinear_groups = collinear_groups
-        self.conic_subsets = conic_subsets
-        self.pairwise_lines = pairwise_lines
-
-
-def incidence_profile(points, conic_cap=12):
-    """Exact incidence data: maximal collinear groups and >=6-point conic groups.
-
-    Conic detection enumerates 5-subsets, so the input is capped (default 12).
+    lines maps each line to the indices of the points on it, in the order of
+    the first pair that spans it; conics maps each irreducible conic to its
+    indices, in the order of the first 5-subset that spans it, and is
+    enumerated on first read, so callers that need only lines never pay for
+    the C(n, 5) conic search.
     """
-    n = len(points)
-    if len(set(points)) != n:
-        raise DuplicatePointError("points must be pairwise distinct")
-    pairwise = {}
-    line_groups = {}
-    for i, j in combinations(range(n), 2):
-        ln = line_through(points[i], points[j])
-        pairwise[(i, j)] = ln
-        if ln not in line_groups:
-            members = frozenset(k for k in range(n) if contains(ln, points[k]))
-            line_groups[ln] = members
-    collinear_groups = []
-    seen = set()
-    for ln, members in line_groups.items():
-        if len(members) >= 3 and members not in seen:
-            seen.add(members)
-            collinear_groups.append((tuple(sorted(members)), ln))
-    collinear_groups.sort()
-    max_collinear = 0
-    witness_line = None
-    for members, ln in collinear_groups:
-        if len(members) > max_collinear:
-            max_collinear = len(members)
-            witness_line = ln
-    if max_collinear == 0 and n >= 2:
-        max_collinear = min(n, 2)
-        witness_line = pairwise[(0, 1)] if n >= 2 else None
 
-    conic_subsets = []
-    if 5 <= n <= conic_cap:
-        conic_subsets = sorted([(members, conic) for members, conic
-                                in irreducible_conics(points, collinear_groups)
-                                if len(members) >= 6],
-                               key=lambda t: (-len(t[0]), t[0]))
-    return IncidenceProfile(list(points), max_collinear, witness_line,
-                            collinear_groups, conic_subsets, pairwise)
+    def __init__(self, points):
+        n = len(points)
+        if len(set(points)) != n:
+            raise DuplicatePointError("points must be pairwise distinct")
+        self.points = list(points)
+        self.lines = {}
+        for i, j in combinations(range(n), 2):
+            ln = line_through(points[i], points[j])
+            if ln not in self.lines:
+                self.lines[ln] = tuple(k for k in range(n) if contains(ln, points[k]))
+        # first-pair order is the order of the member tuples: two points fix a line
+        self.collinear_groups = [(members, ln) for ln, members in self.lines.items()
+                                 if len(members) >= 3]
+        self.witness_line = max(self.lines, key=lambda ln: len(self.lines[ln]),
+                                default=None)
+        self.max_collinear = len(self.lines[self.witness_line]) if self.lines else 0
+
+    @cached_property
+    def conics(self):
+        return {conic: members for members, conic
+                in irreducible_conics(self.points, self.collinear_groups)}
+
+    @cached_property
+    def conic_subsets(self):
+        """(members, conic) for the conics through six or more points, largest first."""
+        return sorted(((members, conic) for conic, members in self.conics.items()
+                       if len(members) >= 6), key=lambda t: (-len(t[0]), t[0]))
+
+
+def incidence_profile(points):
+    """The IncidenceProfile of a list of pairwise distinct points."""
+    return IncidenceProfile(points)
 
 
 def irreducible_conics(points, collinear_groups):
@@ -296,16 +284,20 @@ def irreducible_conics(points, collinear_groups):
         yield tuple(k for k, p in enumerate(points) if contains(conic, p)), conic
 
 
-def concurrency_count_at(q, pts):
-    """Number of distinct lines through q containing at least two of pts."""
+def chords_through(q, pts):
+    """(line, members) for each line through q and two or more of pts.
+
+    Members keep the order of pts; lines come in the order of their first member.
+    """
     if q in pts:
         raise GeometryError("q must not be one of the points")
-    lines = set()
-    for a, b in combinations(pts, 2):
-        ln = line_through(a, b)
+    chords = {}
+    for i, j in combinations(range(len(pts)), 2):
+        ln = line_through(pts[i], pts[j])
         if contains(ln, q):
-            lines.add(ln)
-    return len(lines)
+            chords.setdefault(ln, set()).update((i, j))
+    # two chords meet only at q, so first-pair order is first-member order
+    return [(ln, [pts[k] for k in sorted(members)]) for ln, members in chords.items()]
 
 
 def q_collinear_set(ps, qs):

@@ -156,6 +156,25 @@ def test_rejected_row_is_named_in_notes(monkeypatch):
     assert "table_collinear rejected: evaluation matrix has rank < 5" in res.notes
 
 
+def test_collinear_rows_never_enumerate_conics(monkeypatch):
+    def no_conic_search(points, collinear_groups):
+        raise AssertionError("a collinear row enumerated conics")
+
+    monkeypatch.setattr(importlib.import_module("waldschmidt.geometry"),
+                        "irreducible_conics", no_conic_search)
+    res = classify(fixture("LNQ3-52(10)").points)
+    assert res.family == "line-n/extended-free-points"
+    assert res.exact == F(5, 2)
+
+
+def test_lp_subset_note_only_for_a_proper_subset():
+    # L4Q3-D's seven-point LP subset is the whole input
+    lower = classify(fixture("L4Q3-D").points).to_json()["certificates"]["lower"]
+    assert "note" not in lower
+    lower = classify(fixture("L5Q3-3QC").points).to_json()["certificates"]["lower"]
+    assert lower["note"] == "restricted to a seven-point subset"
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_table_rows_agree_with_golden_floors(name):
     res = classify(fixture(name).points)

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from waldschmidt import cli
+from waldschmidt.classify import ClassificationResult
 from waldschmidt.fixtures import fixture
+from waldschmidt.golden import GOLDEN
 
 
 def write_points(tmp_path, name, points=None):
@@ -153,6 +156,15 @@ def test_check_fixture_ok(capsys):
     code, out = run(capsys, ["check", "--fixture", "L4Q3-D"])
     assert code == 0
     assert out.startswith("ok")
+
+
+def test_check_catches_a_floor_above_alpha(monkeypatch):
+    # L4Q3-D has value 5/2; a verifying certificate of another system claims 3
+    lying = ClassificationResult("fallback/bounds", None, Fraction(3), Fraction(3),
+                                 {"lower": GOLDEN["cubic9/smooth"].certificate()}, [])
+    monkeypatch.setattr(cli, "classify", lambda points, **kwargs: lying)
+    res, problems = cli.check_points(fixture("L4Q3-D").points, cli.RunConfig())
+    assert problems == ["alpha(2X) = 5 is below the certified floor 6"]
 
 
 def test_check_requires_target(capsys):

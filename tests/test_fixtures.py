@@ -4,7 +4,7 @@ import pytest
 
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, UnknownFixtureError,
                                   conic_point, fixture, fixture_names)
-from waldschmidt.geometry import (concurrency_count_at, conic_through, contains,
+from waldschmidt.geometry import (chords_through, conic_through, contains,
                                   is_irreducible_conic, is_smooth_cubic,
                                   line_through, q_collinear_set)
 
@@ -63,7 +63,7 @@ def test_concurrency_predicates():
                          ("CONIC7+Q-SUB2", 1), ("CONIC7+Q-SUB3", 0),
                          ("CONIC8-CONC4", 4)):
         fx = fixture(name)
-        assert concurrency_count_at(fx.points[-1], fx.points[:-1]) == expect
+        assert len(chords_through(fx.points[-1], fx.points[:-1])) == expect
 
 
 def test_cubic9_points_on_smooth_cubic():
@@ -77,16 +77,16 @@ def test_cubic9_points_on_smooth_cubic():
 def test_nine72_chord_patterns():
     fx = fixture("NINE-72-COMMON-I")
     conic_pts, e1, e2 = fx.points[:7], fx.points[7], fx.points[8]
-    assert concurrency_count_at(e1, conic_pts) == 3
-    assert concurrency_count_at(e2, conic_pts) == 3
+    assert len(chords_through(e1, conic_pts)) == 3
+    assert len(chords_through(e2, conic_pts)) == 3
     common = line_through(e1, e2)
     members = [p for p in conic_pts if contains(common, p)]
     assert len(members) == 2
 
     fx = fixture("NINE-72-NOCOMMON")
     conic_pts, e1, e2 = fx.points[:7], fx.points[7], fx.points[8]
-    assert concurrency_count_at(e1, conic_pts) == 3
-    assert concurrency_count_at(e2, conic_pts) == 3
+    assert len(chords_through(e1, conic_pts)) == 3
+    assert len(chords_through(e2, conic_pts)) == 3
     common = line_through(e1, e2)
     assert sum(1 for p in conic_pts if contains(common, p)) < 2
 

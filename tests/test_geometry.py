@@ -6,7 +6,7 @@ from helpers import gauss_rank, transform_points, unimodular
 from waldschmidt.fixtures import STANDARD_CONIC, conic_point, fixture
 from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   NonUniqueConicError, PlaneCurve, ProjPoint,
-                                  WrongDegreeError, concurrency_count_at,
+                                  WrongDegreeError, chords_through,
                                   conic_through, contains,
                                   cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
@@ -119,11 +119,11 @@ def test_incidence_profile_two_points():
 
 def test_concurrency_counts():
     fx = fixture("CONIC6-TYPE1")
-    assert concurrency_count_at(fx.points[-1], fx.points[:-1]) == 3
+    assert len(chords_through(fx.points[-1], fx.points[:-1])) == 3
     fx = fixture("CONIC8-CONC4")
-    assert concurrency_count_at(fx.points[-1], fx.points[:-1]) == 4
-    assert concurrency_count_at(ProjPoint(1, 0, 2),
-                                [conic_point(t) for t in (0, 1, 2, 3, -1, -2)]) == 0
+    assert len(chords_through(fx.points[-1], fx.points[:-1])) == 4
+    assert len(chords_through(ProjPoint(1, 0, 2),
+                              [conic_point(t) for t in (0, 1, 2, 3, -1, -2)])) == 0
 
 
 def test_q_collinear_set_families():
@@ -189,7 +189,7 @@ def test_projective_invariance_of_predicates():
     for _ in range(10):
         t = unimodular(rng)
         pts = transform_points(t, base_pts)
-        assert concurrency_count_at(pts[-1], pts[:-1]) == 3
+        assert len(chords_through(pts[-1], pts[:-1])) == 3
         prof = incidence_profile(pts)
         assert {len(m) for m, _ in prof.conic_subsets} == {6}
     fx = fixture("L4Q3-B")

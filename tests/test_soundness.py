@@ -6,6 +6,7 @@ m <= 3, and the same (family, exact, lower, upper) on unimodular images.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -98,3 +99,13 @@ def test_classify_is_sound(seed):
     for _ in range(2):
         moved = classify(transform_points(unimodular(rng), points))
         assert (moved.family, moved.exact, moved.lower, moved.upper) == verdict
+
+
+def test_thirteen_points_reach_the_conic_table():
+    # twelve conic points and one external point: the profile is not capped
+    points = [conic_point(t) for t in (0, 1, 2, 3, -1, -2, 4, 5, -3, 6, -4, 7)]
+    points.append(ProjPoint(1, 0, 2))
+    res = classify(points)
+    assert res.family == "conic-many/external"
+    assert (res.lower, res.upper) == (Fraction(13, 5), 3)
+    check_sound(points, res)
