@@ -17,17 +17,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-DEFAULT_PRIMES = (1000003, 1000033, 1000037)
-
 
 class RunConfig:
-    def __init__(self, m_max=8, modular_primes=DEFAULT_PRIMES, output="text"):
+    def __init__(self, m_max=8, output="text"):
         if m_max < 1:
             raise ValueError("m_max must be >= 1")
-        if len(set(modular_primes)) != len(modular_primes):
-            raise ValueError("primes must be distinct")
         self.m_max = m_max
-        self.modular_primes = tuple(modular_primes)
         self.output = output
 
 
@@ -187,8 +182,9 @@ def cmd_fixture(name, cfg):
 def check_points(points, cfg, expected=None):
     """Classify, then re-derive both sides independently; returns problem list.
 
-    Each alpha(mX) is searched from one degree below its certified floor, so
-    a lower bound that is too high shows up as an alpha below the floor.
+    Each alpha(mX) is searched from its certified floor, which alpha checks
+    one degree below; so a lower bound that is too high shows up as an alpha
+    below the floor.
     """
     problems = []
     res = classify(points, m_max=min(cfg.m_max, 2))
@@ -221,7 +217,7 @@ def check_points(points, cfg, expected=None):
         depth = min(cfg.m_max, 2)
     for m in range(1, depth + 1):
         floor = degree_floor(res.lower, m)
-        found = alpha(FatPointScheme.uniform(points, m), min_degree=floor - 1).alpha
+        found = alpha(FatPointScheme.uniform(points, m), min_degree=floor).alpha
         if found < floor:
             problems.append("alpha(%dX) = %d is below the certified floor %d"
                             % (m, found, floor))
@@ -284,7 +280,6 @@ def build_parser():
                     "schemes in the projective plane.")
     parser.add_argument("--m-max", type=int, default=8)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--primes", type=int, nargs="*", default=list(DEFAULT_PRIMES))
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("classify", help="match a configuration to a family")
     p.add_argument("input")
@@ -313,9 +308,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(m_max=args.m_max,
-                        modular_primes=tuple(args.primes),
-                        output="json" if args.json else "text")
+        cfg = RunConfig(m_max=args.m_max, output="json" if args.json else "text")
         if args.command == "classify":
             return cmd_classify(args.input, cfg)
         if args.command == "alpha":

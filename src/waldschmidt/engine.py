@@ -71,7 +71,7 @@ class Engine:
     def alpha_uniform(self, points, m, lower_hint=None):
         scheme = FatPointScheme.uniform(points, m)
         floor = degree_floor(lower_hint, m) if lower_hint is not None else None
-        # a search from a higher floor may have skipped the true alpha
+        # searches from different floors record different h0_trace rows
         key = (scheme.key(), floor)
         if key in self._memo:
             return self._memo[key]

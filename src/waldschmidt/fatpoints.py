@@ -5,7 +5,7 @@ from math import ceil, comb
 
 from .geometry import (DuplicatePointError, PlaneCurve, ProjPoint, derivative_row,
                        monomial_count, monomials, mult_at)
-from .linalg import RatMatrix, nullspace, rank_exact
+from .linalg import PRIMES, RatMatrix, nullspace, rank_exact
 
 
 class AlphaSearchError(RuntimeError):
@@ -122,21 +122,31 @@ def degree_floor(lower_bound, m):
     return max(1, ceil(Fraction(lower_bound) * m))
 
 
-def alpha(scheme, min_degree=None):
+def alpha(scheme, min_degree=None, primes=PRIMES):
     """Smallest degree with a nonzero form vanishing to the prescribed orders.
 
-    min_degree, when given, must come from a certified lower bound: degrees
-    below it are skipped without being checked, and they are not recorded in
-    h0_trace.  The search is capped at 3*max(m)*n, always reachable by a
-    product of lines.
+    min_degree is a hint, checked before it is used: when it is above the
+    largest multiplicity, the degree just below it must have no such form.
+    Dimensions only grow with the degree (multiply by a linear form), so a
+    zero there rules out every lower degree; otherwise the hint is dropped
+    and the search starts from the largest multiplicity.  Neither the
+    checked degree nor skipped ones are recorded in h0_trace.  Kernels are
+    found mod primes first (see linalg.nullspace); primes=() means exact
+    elimination only, the reference the tests compare against.  The search
+    is capped at 3*max(m)*n, always reachable by a product of lines.
     """
     if scheme.n == 0:
         raise ValueError("scheme must be nonempty")
     cap = 3 * max(scheme.mults) * scheme.n
-    d = max(1, min_degree or 1, max(scheme.mults))
+    low = max(scheme.mults)
+    d = max(low, min_degree or 1)
+    if d > cap:
+        raise AlphaSearchError("no section found up to the cap %d" % cap)
+    if d > low and nullspace(interpolation_matrix(scheme, d - 1), primes):
+        d = low
     trace = []
     while d <= cap:
-        basis = nullspace(interpolation_matrix(scheme, d))
+        basis = nullspace(interpolation_matrix(scheme, d), primes)
         trace.append((d, len(basis)))
         if basis:
             witness = PlaneCurve(d, basis[0])

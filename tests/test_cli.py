@@ -175,5 +175,4 @@ def test_check_requires_target(capsys):
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(m_max=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(modular_primes=(7, 7))
+

@@ -77,11 +77,11 @@ def test_engine_memoizes():
 
 
 def test_engine_memo_keyed_on_search_floor():
-    # a floor above alpha(2X) = 5 finds degree 8; a later unhinted call must
-    # search again rather than reuse it
+    # a floor above alpha(2X) = 5 fails its check and the search finds 5; a
+    # later unhinted call must search again rather than reuse it
     pts = fixture("CONIC6+Q").points
     eng = Engine()
-    assert eng.alpha_uniform(pts, 2, lower_hint=F(4)).alpha == 8
+    assert eng.alpha_uniform(pts, 2, lower_hint=F(4)).alpha == 5
     assert eng.alpha_uniform(pts, 2).alpha == 5
     assert Engine().alpha_uniform(pts, 2).alpha == 5
 

@@ -4,7 +4,7 @@ from helpers import gauss_rank
 from waldschmidt.fatpoints import (AlphaSearchError, FatPointScheme, alpha,
                                    expected_dimension, hilbert_function,
                                    ideal_dimension, interpolation_matrix)
-from waldschmidt.fixtures import fixture
+from waldschmidt.fixtures import fixture, fixture_names
 from waldschmidt.geometry import ProjPoint, mult_at
 from waldschmidt.linalg import rank_exact, rank_modular
 
@@ -61,6 +61,22 @@ def test_alpha_respects_min_degree_floor():
     res = alpha(s, min_degree=5)
     assert res.alpha == 5
     assert res.h0_trace[0][0] == 5
+
+
+def test_alpha_checks_a_floor_above_alpha():
+    # alpha(2X) = 5; a floor of 8 fails its check at degree 7 and is dropped
+    s = FatPointScheme.uniform(fixture("CONIC6+Q").points, 2)
+    res = alpha(s, min_degree=8)
+    assert res.alpha == 5
+    assert res.h0_trace[0] == (2, 0)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_alpha_modular_equals_exact_on_fixtures(name):
+    pts = fixture(name).points
+    for m in (1, 2, 3):
+        s = FatPointScheme.uniform(pts, m)
+        assert alpha(s).to_json() == alpha(s, primes=()).to_json()
 
 
 def test_alpha_cap_error():

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from helpers import gauss_rank
+from waldschmidt import linalg
 from waldschmidt.fixtures import fixture
 from waldschmidt.geometry import evaluation_row
-from waldschmidt.linalg import (BadPrimeError, RatMatrix, format_rational,
+from waldschmidt.linalg import (PRIMES, BadPrimeError, RatMatrix, format_rational,
                                 nullspace, parse_rational, rank_exact,
                                 rank_modular)
 
@@ -117,3 +119,104 @@ def test_canonical_form_closure():
             assert renorm.numerator == val.numerator
             assert renorm.denominator == val.denominator
             assert val.denominator > 0
+
+
+def test_primes_are_distinct_primes_below_2_30():
+    assert len(PRIMES) >= 32 and len(set(PRIMES)) == len(PRIMES)
+    assert all(p < 1 << 30 for p in PRIMES)
+    assert all(p % k for p in PRIMES for k in range(2, isqrt(p) + 1))
+
+
+def test_rank_modular_rejects_a_prime_above_64_bits():
+    with pytest.raises(ValueError):
+        rank_modular(RatMatrix.from_rows([[1, 2]]), (1 << 64) + 13)
+
+
+def _refuse_exact_elimination(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("exact elimination ran")
+    monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
+
+
+def _low_rank_matrix(rng, rows, cols, rank, scale):
+    gens = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
+    data = []
+    for _ in range(rows):
+        mix = [rng.randint(-4, 4) for _ in range(rank)]
+        data.append([scale * sum(a * g[j] for a, g in zip(mix, gens))
+                     for j in range(cols)])
+    return RatMatrix.from_rows(data)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_modular_nullspace_equals_exact(seed):
+    # rank-deficient matrices, some with every entry divisible by PRIMES[0],
+    # which is then useless and must be passed over
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        scale = rng.choice((1, 1, PRIMES[0], 3 * PRIMES[0] ** 2))
+        m = _low_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), scale)
+        assert nullspace(m, PRIMES) == nullspace(m)
+
+
+def test_modular_nullspace_on_interpolation_matrices(monkeypatch):
+    # these lift without exact elimination
+    from waldschmidt.fatpoints import FatPointScheme, interpolation_matrix
+    cases = []
+    for name, m, d in (("L4Q3-D", 2, 4), ("L4Q3-D", 2, 5), ("CONIC6+Q", 2, 5),
+                       ("NINE-72-COMMON-II", 3, 8), ("NINE-72-COMMON-II", 3, 9)):
+        mat = interpolation_matrix(FatPointScheme.uniform(fixture(name).points, m), d)
+        cases.append((mat, rank_exact(mat), nullspace(mat)))
+    _refuse_exact_elimination(monkeypatch)
+    for mat, rank, basis in cases:
+        assert nullspace(mat, PRIMES) == basis
+        assert rank_modular(mat, PRIMES[0]) == rank
+
+
+def test_modular_kernel_of_a_large_unimodular_matrix(monkeypatch):
+    # L*U with unit triangular factors has determinant 1, so rank n mod every
+    # prime; a last column M*x makes the kernel (x, -1).  Rows get up to n - 1
+    # packed additions, whose sum overflows a 64-bit slot for p near 2**30.
+    rng = random.Random(11)
+    n = 150
+    low = [[rng.randint(-9, 9) if j < i else int(i == j) for j in range(n)]
+           for i in range(n)]
+    up = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)]
+          for i in range(n)]
+    x = [rng.randint(-5, 5) for _ in range(n)]
+    data = [[sum(a * b for a, b in zip(row, col)) for col in zip(*up)] for row in low]
+    data = [row + [sum(a * b for a, b in zip(row, x))] for row in data]
+    m = RatMatrix.from_rows(data)
+    _refuse_exact_elimination(monkeypatch)
+    assert rank_modular(m, PRIMES[0]) == n
+    assert nullspace(m, PRIMES) == [linalg.primitive(x + [-1])]
+
+
+def test_modular_nullspace_falls_back_when_primes_run_out(monkeypatch):
+    # mod p the only equation reads x1 = 0, so the lifted (1, 0) fails M.v == 0
+    p = 101
+    calls = []
+    bareiss = linalg._bareiss_echelon
+    monkeypatch.setattr(linalg, "_bareiss_echelon",
+                        lambda rows, n: calls.append(n) or bareiss(rows, n))
+    assert nullspace(RatMatrix.from_rows([[p, 1]]), (p,)) == [[1, -p]]
+    assert calls == [2]
+
+
+def test_modular_nullspace_prefers_earlier_pivots(monkeypatch):
+    # PRIMES[0] has the same rank as 101 with an earlier pivot column, so it
+    # restarts the search and lifts -1/101 on its own
+    _refuse_exact_elimination(monkeypatch)
+    assert nullspace(RatMatrix.from_rows([[101, 1]]), (101, PRIMES[0])) == [[1, -101]]
+
+
+def test_modular_nullspace_full_rank_and_empty():
+    assert nullspace(RatMatrix.from_rows([[1, 2], [3, 4]]), PRIMES) == []
+    assert nullspace(RatMatrix(0, 2, []), PRIMES) == [[1, 0], [0, 1]]
+    assert nullspace(RatMatrix(2, 0, []), PRIMES) == []
+
+
+def test_modular_nullspace_skips_a_prime_dividing_a_denominator():
+    m = RatMatrix.from_rows([[Fraction(1, 7), 1], [Fraction(2, 7), 2]])
+    assert nullspace(m, (7, PRIMES[0])) == nullspace(m) == [[7, -1]]
