@@ -1,7 +1,7 @@
 """Exact computation of initial degrees and asymptotic degree ratios for plane point schemes."""
 
-from .bezout import (AuxCurveSet, BezoutSystem, LowerBoundCertificate,
-                     build_system, solve_min_ratio, verify_certificate)
+from .bezout import (BezoutSystem, LowerBoundCertificate, build_system,
+                     solve_min_ratio, verify_certificate)
 from .classify import ClassificationResult, classify, conclude
 from .engine import Engine, FormalDivisor, sweep, verify_upper
 from .fatpoints import (AlphaResult, FatPointScheme, alpha, hilbert_function,
@@ -14,7 +14,7 @@ from .geometry import (IncidenceProfile, PlaneCurve, ProjPoint,
 from .linalg import RatMatrix, nullspace, rank_exact, rank_modular
 
 __all__ = [
-    "AlphaResult", "AuxCurveSet", "BezoutSystem", "ClassificationResult",
+    "AlphaResult", "BezoutSystem", "ClassificationResult",
     "Engine", "FatPointScheme", "FixtureSpec", "FormalDivisor",
     "IncidenceProfile", "LowerBoundCertificate", "PlaneCurve", "ProjPoint",
     "RatMatrix", "alpha", "build_system", "classify", "conclude",

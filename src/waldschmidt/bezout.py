@@ -18,54 +18,6 @@ class LPInternalError(RuntimeError):
     pass
 
 
-VERIFIED = "verified"
-ATTESTED = "attested"
-UNKNOWN = "unknown"
-
-
-class AuxCurve:
-    """An auxiliary curve with its per-point multiplicity row."""
-
-    def __init__(self, curve, label, status, mult_row):
-        self.curve = curve
-        self.label = label
-        self.status = status
-        self.mult_row = tuple(mult_row)
-
-    @property
-    def degree(self):
-        return self.curve.degree
-
-
-class AuxCurveSet:
-    """Curves paired with multiplicities recomputed from the scheme geometry."""
-
-    def __init__(self, scheme, entries):
-        self.scheme = scheme
-        self.curves = entries
-
-    @classmethod
-    def build(cls, scheme, curves, labels=None, attested=()):
-        """Tag each curve: lines are verified, conics iff irreducible, cubics
-        and beyond only when explicitly attested by the caller."""
-        seen = set()
-        entries = []
-        for idx, curve in enumerate(curves):
-            if curve in seen:
-                raise ProportionalCurvesError("curve %d repeats an earlier curve" % idx)
-            seen.add(curve)
-            if curve.degree == 1:
-                status = VERIFIED
-            elif curve.degree == 2:
-                status = VERIFIED if is_irreducible_conic(curve) else UNKNOWN
-            else:
-                status = ATTESTED if idx in attested else UNKNOWN
-            label = labels[idx] if labels else "curve %d" % (idx + 1)
-            row = [mult_at(curve, p) for p in scheme.points]
-            entries.append(AuxCurve(curve, label, status, row))
-        return cls(scheme, entries)
-
-
 class Constraint:
     """Affine inequality t_coeff*t + sum(a_coeffs[j]*a_j) >= rhs."""
 
@@ -90,12 +42,6 @@ class BezoutSystem:
     def nvars(self):
         return len(self.var_names)
 
-    @classmethod
-    def from_rows(cls, var_names, rows, note=None):
-        """Hand-encoded system; rows are (label, t_coeff, a_coeffs, rhs)."""
-        cons = [Constraint(lbl, t, a, r) for lbl, t, a, r in rows]
-        return cls(var_names, cons, note=note)
-
     def to_json(self):
         return {
             "variables": ["t"] + self.var_names,
@@ -108,46 +54,36 @@ class BezoutSystem:
         }
 
 
-def build_system(scheme, aux, groups=None):
-    """Bezout inequality system for a uniform scheme and verified aux curves.
+def build_system(points, curves, labels=None, attested=()):
+    """Bezout inequality system for the points at multiplicity 1 and verified curves.
 
-    One degree constraint t - sum(d_j a_j) >= 0 plus, for every curve j,
-    d_j*t + sum_l(sum_i m_ij m_il - d_j d_l) a_l >= sum_i m_ij.  Relaxing the
+    Repeated curves are rejected first, then unverified ones: lines are
+    verified, conics iff irreducible, cubics and beyond only when their index
+    is in attested.  One degree constraint t - sum(d_j a_j) >= 0 plus, for
+    every curve j, d_j*t + sum_l(sum_i m_ij m_il - d_j d_l) a_l >= sum_i m_ij,
+    with m_ij the multiplicity of curve j at point i.  Relaxing the
     decomposition integers to nonnegative rationals only enlarges the feasible
-    set, so the minimum stays a valid lower bound.  groups optionally merges
-    symmetric curves into one variable.
+    set, so the minimum stays a valid lower bound.
     """
-    if not scheme.is_uniform():
-        raise ValueError("Bezout systems require a uniform scheme")
-    for e in aux.curves:
-        if e.status == UNKNOWN:
-            raise UnverifiedCurveError("curve %r lacks verification" % e.label)
-    r = len(aux.curves)
-    if groups is None:
-        groups = [[j] for j in range(r)]
-    covered = sorted(j for g in groups for j in g)
-    if covered != list(range(r)):
-        raise ValueError("groups must partition the curve list")
-    names = []
-    for g in groups:
-        names.append("+".join(aux.curves[j].label for j in g))
-
-    degs = [e.degree for e in aux.curves]
-    mrows = [e.mult_row for e in aux.curves]
-    n = aux.scheme.n
-
-    def grouped(coeffs):
-        return [sum(coeffs[j] for j in g) for g in groups]
-
-    cons = [Constraint("degree", 1, grouped([-d for d in degs]), 0)]
-    for j in range(r):
-        coeffs = []
-        for l in range(r):
-            dot = sum(mrows[j][i] * mrows[l][i] for i in range(n))
-            coeffs.append(Fraction(dot - degs[j] * degs[l]))
-        rhs = sum(mrows[j])
-        cons.append(Constraint(aux.curves[j].label, degs[j], grouped(coeffs), rhs))
-    return BezoutSystem(names, cons)
+    seen = set()
+    for idx, curve in enumerate(curves):
+        if curve in seen:
+            raise ProportionalCurvesError("curve %d repeats an earlier curve" % idx)
+        seen.add(curve)
+    labels = labels or ["curve %d" % (idx + 1) for idx in range(len(curves))]
+    for idx, curve in enumerate(curves):
+        if not (curve.degree == 1
+                or (curve.degree == 2 and is_irreducible_conic(curve))
+                or (curve.degree > 2 and idx in attested)):
+            raise UnverifiedCurveError("curve %r lacks verification" % labels[idx])
+    degs = [c.degree for c in curves]
+    mrows = [[mult_at(c, p) for p in points] for c in curves]
+    cons = [Constraint("degree", 1, [-d for d in degs], 0)]
+    for j, row in enumerate(mrows):
+        coeffs = [sum(a * b for a, b in zip(row, other)) - degs[j] * degs[l]
+                  for l, other in enumerate(mrows)]
+        cons.append(Constraint(labels[j], degs[j], coeffs, sum(row)))
+    return BezoutSystem(labels, cons)
 
 
 class LowerBoundCertificate:
@@ -310,32 +246,3 @@ def _audit_solution(system, cert):
     check = verify_certificate(cert)
     if not check:
         raise LPInternalError("optimal duals fail verification: %s" % check.reasons)
-
-
-def parse_aux_spec(scheme, spec_list):
-    """Aux curves from JSON specs over scheme point indices."""
-    from .geometry import PlaneCurve, conic_through, line_through
-    curves = []
-    labels = []
-    attested = set()
-    pts = scheme.points
-    for idx, spec in enumerate(spec_list):
-        kind = spec["type"]
-        if kind == "line":
-            i, j = spec["through"]
-            curves.append(line_through(pts[i], pts[j]))
-            labels.append("line(%d,%d)" % (i, j))
-        elif kind == "conic":
-            ids = spec["through"]
-            curves.append(conic_through([pts[i] for i in ids]))
-            labels.append("conic(%s)" % ",".join(str(i) for i in ids))
-        elif kind == "explicit":
-            curve = PlaneCurve(int(spec["degree"]),
-                               [parse_rational(c) for c in spec["coeffs"]])
-            curves.append(curve)
-            labels.append(spec.get("label", "explicit %d" % idx))
-            if spec.get("attest_irreducible"):
-                attested.add(idx)
-        else:
-            raise ValueError("unknown aux curve type %r" % kind)
-    return AuxCurveSet.build(scheme, curves, labels=labels, attested=attested)

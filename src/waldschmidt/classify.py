@@ -9,14 +9,12 @@ meet the LP and the divisor check.
 from fractions import Fraction
 from itertools import combinations
 
-from .bezout import (AuxCurveSet, UnverifiedCurveError, build_system,
-                     solve_min_ratio)
+from .bezout import UnverifiedCurveError, build_system, solve_min_ratio
 from .engine import Engine, FormalDivisor, verify_upper
 from .fatpoints import FatPointScheme, interpolation_matrix
-from .geometry import (DuplicatePointError, GeometryError, PlaneCurve,
-                       chords_through, conic_through, contains,
+from .geometry import (DuplicatePointError, GeometryError, PlaneCurve, conic_through,
                        cubic_with_double_point, incidence_profile, is_smooth_cubic,
-                       line_through, q_collinear_set)
+                       line_through)
 from .linalg import format_rational, nullspace
 
 RULES = {
@@ -156,9 +154,7 @@ class Row:
 
 def _lp_lower(points, curves, labels, attested=(), subset=None):
     """LP bound over all the points, or over subset when one is given."""
-    scheme = FatPointScheme.uniform(subset or points, 1)
-    aux = AuxCurveSet.build(scheme, curves, labels=labels, attested=attested)
-    system = build_system(scheme, aux)
+    system = build_system(subset or points, curves, labels, attested)
     if subset and len(subset) < len(points):
         system.note = SUBSET_NOTES[len(subset)]
     return solve_min_ratio(system)
@@ -235,8 +231,10 @@ def _table_collinear(points, prof):
     if n < 7 or k < n - 3:
         return None
     line = prof.witness_line
-    on_line = [points[i] for i in prof.lines[line]]
-    rest = [p for i, p in enumerate(points) if i not in prof.lines[line]]
+    on = prof.lines[line]
+    on_line = [points[i] for i in on]
+    rest_idx = [i for i in range(n) if i not in on]
+    rest = [points[i] for i in rest_idx]
 
     if k == n:
         return Row("all-collinear", Fraction(1), [line], ["L"], [(line, 1)], 1)
@@ -248,7 +246,7 @@ def _table_collinear(points, prof):
                    [(line, n - 2)] + [(s, 1) for s in spokes], n - 1)
 
     cross = line_through(rest[0], rest[1])
-    if k == n - 2 or contains(cross, rest[2]):
+    if k == n - 2 or rest_idx[2] in prof.lines[cross]:
         rule = "all-but-two-collinear" if k == n - 2 else "residual-triple-collinear"
         return Row(rule, Fraction(2), [line, cross], ["L", "residual line"],
                    [(line, 1), (cross, 1)], 1)
@@ -257,7 +255,7 @@ def _table_collinear(points, prof):
     q1, q2, q3 = rest
     sides = [line_through(q2, q3), line_through(q1, q3), cross]
     side_labels = ["side 1", "side 2", "side 3"]
-    side_pts = q_collinear_set(on_line, (q1, q2, q3))
+    side_pts = [points[i] for i in on if any(i in prof.lines[s] for s in sides)]
     free = [p for p in on_line if p not in side_pts]
     # each side meets the carrier once, so q <= 3; with k >= 4 the rows
     # below cover every (q, k) with fewer than four free carrier points
@@ -298,9 +296,14 @@ def _table_collinear(points, prof):
 
 # ---------------------------------------------------------- conic + external table
 
-def _aux_for_low_concurrency(conic_pts, q, conic):
-    """Curves certifying 13/5 for seven conic points and an external on <=2 chords."""
-    chords = chords_through(q, conic_pts)
+def _chords(points, prof, i, among):
+    """prof.chords(i, among) with the members as points."""
+    return [(ln, [points[k] for k in mem]) for ln, mem in prof.chords(i, among)]
+
+
+def _aux_for_low_concurrency(conic_pts, q, conic, chords):
+    """Curves certifying 13/5 for seven conic points and an external q on the
+    chords (at most two) through it."""
     c = len(chords)
     if c == 2:
         (k1, e1), (k2, e2) = chords
@@ -367,8 +370,9 @@ def _table_conic_external(points, prof):
         return None
     members, conic = group
     conic_pts = [points[i] for i in members]
-    q = next(p for i, p in enumerate(points) if i not in members)
-    chords = chords_through(q, conic_pts)
+    qi = next(i for i in range(n) if i not in members)
+    q = points[qi]
+    chords = _chords(points, prof, qi, members)
     c = len(chords)
 
     if n == 7 and c >= 3:
@@ -396,7 +400,7 @@ def _table_conic_external(points, prof):
                    subset=([p for _, mem in kept for p in mem] + [widow_members[0]]
                            + leftover + [q]))
     if n == 8:
-        curves, labels = _aux_for_low_concurrency(conic_pts, q, conic)
+        curves, labels = _aux_for_low_concurrency(conic_pts, q, conic, chords)
         if c == 2:
             (k1, _), (k2, _) = chords
             return Row("conic7/two-chords", Fraction(13, 5), curves, labels,
@@ -423,7 +427,8 @@ def _table_conic_external(points, prof):
                    subset=[p for _, mem in kept for p in mem] + widows + [q])
 
     subset_pts, sub_conic_pts = _seven_point_subset(conic_pts, chords, q)
-    curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic)
+    # the subset keeps chords[:2] whole and one end of every other chord
+    curves, labels = _aux_for_low_concurrency(sub_conic_pts, q, conic, chords[:2])
     rule = "conic8/low-concurrency" if n == 9 else "conic-many/external"
     return Row(rule, Fraction(13, 5), curves, labels,
                [(conic, 1), (line_through(q, conic_pts[0]), 1)], 1, exact=False,
@@ -452,13 +457,14 @@ def _nine_seven_two(points, prof):
         return None
     members, conic = group
     conic_pts = [points[i] for i in members]
-    e1, e2 = [p for i, p in enumerate(points) if i not in members]
-    chords1 = chords_through(e1, conic_pts)
-    chords2 = chords_through(e2, conic_pts)
+    i1, i2 = [i for i in range(len(points)) if i not in members]
+    e1, e2 = points[i1], points[i2]
+    chords1 = _chords(points, prof, i1, members)
+    chords2 = _chords(points, prof, i2, members)
     divisor = [(conic, 1), (line_through(e1, e2), 1)]
     if len(chords1) <= 2 or len(chords2) <= 2:
-        plainer = e1 if len(chords1) <= 2 else e2
-        curves, labels = _aux_for_low_concurrency(conic_pts, plainer, conic)
+        plainer, chords = (e1, chords1) if len(chords1) <= 2 else (e2, chords2)
+        curves, labels = _aux_for_low_concurrency(conic_pts, plainer, conic, chords)
         return Row("nine/7conic+2/plain-external", Fraction(13, 5), curves, labels,
                    divisor, 1, exact=False, subset=conic_pts + [plainer],
                    notes=[UNSETTLED])
@@ -489,21 +495,22 @@ def _nine_six_three(points, prof):
         return None
     for members, conic in prof.conic_subsets:
         if len(members) == 6:
-            rows = _nine63_rows(points, members, conic)
+            rows = _nine63_rows(points, prof, members, conic)
             if rows:
                 return rows
     return None
 
 
-def _nine63_rows(points, members, conic):
+def _nine63_rows(points, prof, members, conic):
     # the three points off the conic must lie on one line, which meets the
     # irreducible conic in at most two of its six points
-    conic_pts = [points[i] for i in members]
-    line_pts = [p for i, p in enumerate(points) if i not in members]
+    line_idx = [i for i in range(len(points)) if i not in members]
+    line_pts = [points[i] for i in line_idx]
     ln = line_through(line_pts[0], line_pts[1])
-    if not contains(ln, line_pts[2]):
+    on_ln = prof.lines[ln]
+    if line_idx[2] not in on_ln:
         return None
-    shared = [p for p in conic_pts if contains(ln, p)]
+    shared = [i for i in members if i in on_ln]
     divisor = [(conic, 1), (ln, 1)]
     if not shared:
         return Row("nine/6conic+3/line-avoids-conic", Fraction(3), [conic, ln],
@@ -511,29 +518,35 @@ def _nine63_rows(points, members, conic):
     if len(shared) == 1:
         return Row("nine/6conic+3/one-shared-point", Fraction(58, 23), [conic, ln],
                    ["carrier", "line"], divisor, 1, exact=False, notes=[UNSETTLED])
-    four = [p for p in conic_pts if p not in shared]
+    four = [points[i] for i in members if i not in on_ln]
     chord_map = {(i, j): line_through(four[i], four[j])
                  for i, j in combinations(range(4), 2)}
-    on_chords = {p: [key for key, cv in chord_map.items() if contains(cv, p)]
-                 for p in line_pts}
+    on_chords = {p: [key for key, cv in chord_map.items() if i in prof.lines[cv]]
+                 for i, p in zip(line_idx, line_pts)}
     off_h = [p for p in line_pts if not on_chords[p]]
     diag = [p for p in line_pts if len(on_chords[p]) >= 2]
+
+    def on_conic(cv):
+        # the companion conics have no three of their five points collinear,
+        # so each is irreducible and a key of prof.conics
+        return [points[k] for k in prof.conics[cv]]
+
     if off_h:
-        return _nine63_sub1(conic, ln, four, line_pts, off_h)
+        return _nine63_sub1(conic, ln, four, line_pts, off_h, on_conic)
     if not diag:
-        return _nine63_sub2(conic, ln, four, line_pts, on_chords)
+        return _nine63_sub2(conic, ln, four, line_pts, on_chords, on_conic)
     if len(diag) == 1:
         return _nine63_sub3(conic, ln, line_pts, chord_map, on_chords, diag[0])
     return _nine63_sub4(conic, ln, line_pts, chord_map, on_chords, diag)
 
 
-def _nine63_sub1(conic, ln, four, line_pts, off_h):
+def _nine63_sub1(conic, ln, four, line_pts, off_h, on_conic):
     # a point off every chord of `four` leaves no three of the five collinear,
     # so each companion conic is unique and irreducible
     rows = []
     for e in off_h:
         second = conic_through(four + [e])
-        if any(p != e and contains(second, p) for p in line_pts):
+        if any(p != e and p in line_pts for p in on_conic(second)):
             rule, floor = "nine/6conic+3/two-shared/free-point-conjugate", Fraction(53, 21)
         else:
             rule, floor = "nine/6conic+3/two-shared/free-point-plain", Fraction(13, 5)
@@ -543,7 +556,7 @@ def _nine63_sub1(conic, ln, four, line_pts, off_h):
     return rows
 
 
-def _nine63_sub2(conic, ln, four, line_pts, on_chords):
+def _nine63_sub2(conic, ln, four, line_pts, on_chords, on_conic):
     for pa, pb in combinations(line_pts, 2):
         common = set(on_chords[pa][0]) & set(on_chords[pb][0])
         if common:
@@ -556,7 +569,7 @@ def _nine63_sub2(conic, ln, four, line_pts, on_chords):
         return None
     # each line point lies on one chord, never on a chord among four[i, kq, e]
     second = conic_through([four[i], four[kq], four[e], pa, pb])
-    if contains(second, four[j]):
+    if four[j] in on_conic(second):
         return None
     return Row("nine/6conic+3/two-shared/all-on-single-chords", Fraction(13, 5),
                [conic, second, ln], ["carrier", "companion conic", "line"],

@@ -4,7 +4,7 @@ import argparse
 import json
 import sys
 
-from .bezout import build_system, parse_aux_spec, solve_min_ratio, verify_certificate
+from .bezout import build_system, solve_min_ratio, verify_certificate
 from .classify import classify
 from .engine import (Engine, FormalDivisor, InsufficientMultiplicityError,
                      verify_upper)
@@ -106,12 +106,11 @@ def cmd_lower(path, aux_path, cfg):
         aux_spec = aux_spec.get("aux", aux_spec.get("curves"))
     if not isinstance(aux_spec, list):
         raise InputError("aux file must hold a list of curve specs")
-    uniform = FatPointScheme.uniform(scheme.points, 1)
     try:
-        aux = parse_aux_spec(uniform, aux_spec)
-    except (GeometryError, ValueError, KeyError, IndexError) as exc:
+        curves, labels, attested = _parse_aux_spec(aux_spec, scheme.points)
+        system = build_system(scheme.points, curves, labels, attested)
+    except (GeometryError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise InputError("bad aux specs: %s" % exc)
-    system = build_system(uniform, aux)
     cert = solve_min_ratio(system)
     check = verify_certificate(cert)
     payload = {"certificate": cert.to_json(), "verified": bool(check)}
@@ -121,6 +120,40 @@ def cmd_lower(path, aux_path, cfg):
     lines.append("verified: %s" % bool(check))
     _emit(payload, cfg, lines)
     return EXIT_OK
+
+
+def _point(pts, i):
+    """pts[i] for an index from an input file: a non-bool int in [0, len(pts))."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(pts):
+        raise InputError("point index %r is not an integer in [0, %d)" % (i, len(pts)))
+    return pts[i]
+
+
+def _parse_aux_spec(spec_list, pts):
+    """(curves, labels, attested indices) from JSON specs over point indices."""
+    curves = []
+    labels = []
+    attested = set()
+    for idx, spec in enumerate(spec_list):
+        if not isinstance(spec, dict):
+            raise InputError("aux spec %d is not an object" % idx)
+        kind = spec["type"]
+        if kind == "line":
+            i, j = spec["through"]
+            curves.append(line_through(_point(pts, i), _point(pts, j)))
+            labels.append("line(%d,%d)" % (i, j))
+        elif kind == "conic":
+            ids = spec["through"]
+            curves.append(conic_through([_point(pts, i) for i in ids]))
+            labels.append("conic(%s)" % ",".join(str(i) for i in ids))
+        elif kind == "explicit":
+            curves.append(PlaneCurve.parse(spec))
+            labels.append(spec.get("label", "explicit %d" % idx))
+            if spec.get("attest_irreducible"):
+                attested.add(idx)
+        else:
+            raise InputError("unknown aux curve type %r" % kind)
+    return curves, labels, attested
 
 
 def _parse_divisor(obj, scheme, m_flag):
@@ -138,9 +171,9 @@ def _parse_divisor(obj, scheme, m_flag):
                 curve = PlaneCurve.parse(term["curve"])
             elif "line" in term:
                 i, j = term["line"]
-                curve = line_through(pts[i], pts[j])
+                curve = line_through(_point(pts, i), _point(pts, j))
             elif "conic" in term:
-                curve = conic_through([pts[i] for i in term["conic"]])
+                curve = conic_through([_point(pts, i) for i in term["conic"]])
             else:
                 raise InputError("term needs curve, line, or conic")
             terms.append((curve, coeff))

@@ -1,7 +1,7 @@
 """Fat-point schemes: interpolation matrices, initial degrees and Hilbert functions."""
 
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil
 
 from .geometry import (DuplicatePointError, PlaneCurve, ProjPoint, derivative_row,
                        monomial_count, monomials, mult_at)
@@ -58,9 +58,6 @@ class FatPointScheme:
 
     def key(self):
         return (tuple(p.coords for p in self.points), self.mults)
-
-    def condition_count(self):
-        return sum(comb(m + 1, 2) for m in self.mults)
 
     def __eq__(self, other):
         return isinstance(other, FatPointScheme) and self.key() == other.key()
@@ -157,8 +154,3 @@ def alpha(scheme, min_degree=None, primes=PRIMES):
             return AlphaResult(m_val, d, witness, trace)
         d += 1
     raise AlphaSearchError("no section found up to the cap %d" % cap)
-
-
-def expected_dimension(scheme, d):
-    """Naive dimension count; the true dimension is never smaller."""
-    return monomial_count(d) - scheme.condition_count()

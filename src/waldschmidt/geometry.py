@@ -256,6 +256,17 @@ class IncidenceProfile:
         return sorted(((members, conic) for conic, members in self.conics.items()
                        if len(members) >= 6), key=lambda t: (-len(t[0]), t[0]))
 
+    def chords(self, i, among):
+        """(line, members) for each line through point i and two or more of the
+        indices among; members keep the order of among, and lines come in the
+        order of their first member, as in chords_through."""
+        if i in among:
+            raise GeometryError("point %d must not be one of among" % i)
+        by_line = {}
+        for k in among:
+            by_line.setdefault(line_through(self.points[i], self.points[k]), []).append(k)
+        return [(ln, tuple(mem)) for ln, mem in by_line.items() if len(mem) >= 2]
+
 
 def incidence_profile(points):
     """The IncidenceProfile of a list of pairwise distinct points."""

@@ -74,25 +74,6 @@ class RatMatrix:
     def row(self, i):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def row_lists(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        e = []
-        for c in range(self.cols):
-            for r in range(self.rows):
-                e.append(self.entries[r * self.cols + c])
-        return RatMatrix(self.cols, self.rows, e)
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum(self.entries[base + j] * v[j] for j in range(self.cols)))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -8,7 +8,7 @@ multiplicity 1.
 
 from fractions import Fraction
 
-from .bezout import BezoutSystem, LowerBoundCertificate
+from waldschmidt.bezout import BezoutSystem, Constraint, LowerBoundCertificate
 
 F = Fraction
 
@@ -16,7 +16,8 @@ F = Fraction
 class GoldenSystem:
     def __init__(self, name, var_names, rows, duals, bound, equality):
         self.name = name
-        self.system = BezoutSystem.from_rows(var_names, rows)
+        # rows are (label, t_coeff, a_coeffs, rhs)
+        self.system = BezoutSystem(var_names, [Constraint(*row) for row in rows])
         self.duals = [F(d) for d in duals]
         self.bound = F(bound)
         self.equality = equality

@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from waldschmidt.geometry import ProjPoint, transform_point
+from waldschmidt.geometry import ProjPoint, monomial_count, transform_point
+from waldschmidt.linalg import RatMatrix
 
 
 def gauss_rank(rows):
@@ -121,3 +123,24 @@ def random_point(rng, bound=4):
         coords = [rng.randint(-bound, bound) for _ in range(3)]
         if any(coords):
             return ProjPoint(*coords)
+
+
+def row_lists(m):
+    """The rows of a RatMatrix as lists."""
+    return [m.row(i) for i in range(m.rows)]
+
+
+def transpose(m):
+    return RatMatrix(m.cols, m.rows, [m.entries[r * m.cols + c]
+                                      for c in range(m.cols) for r in range(m.rows)])
+
+
+def mul_vector(m, v):
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return [sum(a * b for a, b in zip(row, v)) for row in row_lists(m)]
+
+
+def expected_dimension(scheme, d):
+    """Naive dimension count; the true dimension is never smaller."""
+    return monomial_count(d) - sum(comb(m + 1, 2) for m in scheme.mults)

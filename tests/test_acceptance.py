@@ -20,7 +20,7 @@ from waldschmidt.fatpoints import (FatPointScheme, hilbert_function,
                                    interpolation_matrix)
 from waldschmidt.fixtures import fixture, fixture_names
 from waldschmidt.geometry import ProjPoint
-from waldschmidt.golden import GOLDEN, golden_names
+from golden import GOLDEN, golden_names
 from waldschmidt.linalg import rank_exact, rank_modular
 
 F = Fraction

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import lp_min_t_by_vertices
-from waldschmidt.bezout import (AuxCurveSet, LowerBoundCertificate,
-                                ProportionalCurvesError, UnverifiedCurveError,
-                                build_system, solve_min_ratio, verify_certificate)
+from waldschmidt import bezout
+from waldschmidt.bezout import (LowerBoundCertificate, ProportionalCurvesError,
+                                UnverifiedCurveError, build_system, solve_min_ratio,
+                                verify_certificate)
 from waldschmidt.fatpoints import FatPointScheme, alpha
 from waldschmidt.fixtures import fixture
 from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through
-from waldschmidt.golden import GOLDEN, golden_names
+from golden import GOLDEN, golden_names
 
 F = Fraction
 
@@ -26,9 +27,8 @@ def scheme_and_sides(name):
 
 def test_build_system_l4q3d_shape():
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
-    aux = AuxCurveSet.build(scheme, sides + [carrier],
-                            labels=["L1", "L2", "L3", "L"])
-    system = build_system(scheme, aux)
+    system = build_system(scheme.points, sides + [carrier],
+                          labels=["L1", "L2", "L3", "L"])
     assert system.var_names == ["L1", "L2", "L3", "L"]
     assert [c.label for c in system.constraints] == ["degree", "L1", "L2", "L3", "L"]
     by_label = {c.label: c for c in system.constraints}
@@ -44,8 +44,7 @@ def test_build_system_single_point_single_line():
     p = ProjPoint(0, 0, 1)
     scheme = FatPointScheme.uniform([p], 1)
     line = line_through(p, ProjPoint(1, 0, 1))
-    aux = AuxCurveSet.build(scheme, [line], labels=["L"])
-    system = build_system(scheme, aux)
+    system = build_system(scheme.points, [line], labels=["L"])
     cert = solve_min_ratio(system)
     assert cert.bound == 1
 
@@ -53,15 +52,33 @@ def test_build_system_single_point_single_line():
 def test_build_system_rejects_unverified_conic():
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
     degenerate = PlaneCurve(2, [0, 1, 0, 0, 0, 0])  # x0*x1, a line pair
-    aux = AuxCurveSet.build(scheme, [carrier, degenerate])
     with pytest.raises(UnverifiedCurveError):
-        build_system(scheme, aux)
+        build_system(scheme.points, [carrier, degenerate])
 
 
 def test_aux_set_rejects_proportional_curves():
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
     with pytest.raises(ProportionalCurvesError):
-        AuxCurveSet.build(scheme, [carrier, PlaneCurve(1, [0, 0, 5])])
+        build_system(scheme.points, [carrier, PlaneCurve(1, [0, 0, 5])])
+
+
+def test_repeated_curve_is_reported_before_an_unverified_one():
+    scheme, sides, carrier = scheme_and_sides("L4Q3-D")
+    degenerate = PlaneCurve(2, [0, 1, 0, 0, 0, 0])  # x0*x1, a line pair
+    with pytest.raises(ProportionalCurvesError):
+        build_system(scheme.points, [degenerate, carrier, carrier])
+
+
+def test_unverified_curve_is_rejected_before_any_multiplicity(monkeypatch):
+    scheme, sides, carrier = scheme_and_sides("L4Q3-D")
+
+    def no_mult_at(curve, point):
+        raise AssertionError("mult_at called before the verification check")
+
+    monkeypatch.setattr(bezout, "mult_at", no_mult_at)
+    degenerate = PlaneCurve(2, [0, 1, 0, 0, 0, 0])
+    with pytest.raises(UnverifiedCurveError):
+        build_system(scheme.points, [carrier, degenerate])
 
 
 @pytest.mark.parametrize("name", golden_names())
@@ -124,10 +141,9 @@ def test_monotonicity_adding_curves():
     p4 = fixture("L4Q3-A").points[3]
     qs = fixture("L4Q3-A").points[4:]
     spokes = [line_through(p4, q) for q in qs]
-    small = AuxCurveSet.build(scheme, sides + [carrier])
-    big = AuxCurveSet.build(scheme, sides + [carrier] + spokes)
-    bound_small = solve_min_ratio(build_system(scheme, small)).bound
-    bound_big = solve_min_ratio(build_system(scheme, big)).bound
+    bound_small = solve_min_ratio(build_system(scheme.points, sides + [carrier])).bound
+    bound_big = solve_min_ratio(build_system(scheme.points,
+                                             sides + [carrier] + spokes)).bound
     assert bound_big >= bound_small
     assert bound_big == F(16, 7)
 
@@ -135,23 +151,9 @@ def test_monotonicity_adding_curves():
 def test_scale_invariance_of_built_system():
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
     scaled = [PlaneCurve(1, [7 * c for c in ln.coeffs]) for ln in sides]
-    aux1 = AuxCurveSet.build(scheme, sides + [carrier])
-    aux2 = AuxCurveSet.build(scheme, scaled + [carrier])
-    b1 = solve_min_ratio(build_system(scheme, aux1)).bound
-    b2 = solve_min_ratio(build_system(scheme, aux2)).bound
+    b1 = solve_min_ratio(build_system(scheme.points, sides + [carrier])).bound
+    b2 = solve_min_ratio(build_system(scheme.points, scaled + [carrier])).bound
     assert b1 == b2 == F(5, 2)
-
-
-def test_grouped_matches_ungrouped_on_symmetric_system():
-    scheme, sides, carrier = scheme_and_sides("L4Q3-A")
-    p4 = fixture("L4Q3-A").points[3]
-    qs = fixture("L4Q3-A").points[4:]
-    spokes = [line_through(p4, q) for q in qs]
-    aux = AuxCurveSet.build(scheme, sides + [carrier] + spokes)
-    ungrouped = solve_min_ratio(build_system(scheme, aux)).bound
-    grouped_system = build_system(scheme, aux, groups=[[0, 1, 2], [3], [4, 5, 6]])
-    grouped = solve_min_ratio(grouped_system).bound
-    assert ungrouped == grouped == F(16, 7)
 
 
 def test_lp_soundness_against_alpha():
@@ -166,8 +168,7 @@ def test_lp_soundness_against_alpha():
             from waldschmidt.fixtures import STANDARD_CONIC, conic_chord
             curves = [conic_chord(2, F(1, 2)), conic_chord(3, F(1, 3)),
                       conic_chord(-2, F(-1, 2)), STANDARD_CONIC]
-        aux = AuxCurveSet.build(scheme, curves)
-        bound = solve_min_ratio(build_system(scheme, aux)).bound
+        bound = solve_min_ratio(build_system(scheme.points, curves)).bound
         for m in (1, 2, 3):
             a = alpha(FatPointScheme.uniform(pts, m),
                       min_degree=max(1, -(-bound.numerator * m // bound.denominator)))

@@ -11,7 +11,7 @@ from waldschmidt.engine import sweep, verify_upper
 from waldschmidt.fatpoints import FatPointScheme
 from waldschmidt.fixtures import fixture, fixture_names
 from waldschmidt.geometry import DuplicatePointError, NonUniqueConicError, ProjPoint
-from waldschmidt.golden import GOLDEN
+from golden import GOLDEN
 
 F = Fraction
 

@@ -6,7 +6,7 @@ import pytest
 from waldschmidt import cli
 from waldschmidt.classify import ClassificationResult
 from waldschmidt.fixtures import fixture
-from waldschmidt.golden import GOLDEN
+from golden import GOLDEN
 
 
 def write_points(tmp_path, name, points=None):
@@ -115,6 +115,69 @@ def test_lower_rejects_unverifiable_cubic(tmp_path, capsys):
     ]))
     code, out = run(capsys, ["lower", path, str(aux)])
     assert code == cli.EXIT_INPUT_ERROR or "unverif" in out.lower()
+
+
+def run_with_aux(tmp_path, capsys, specs):
+    path = write_points(tmp_path, "L4Q3-D")
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(specs))
+    return run(capsys, ["--json", "lower", path, str(aux)])
+
+
+def run_with_divisor(tmp_path, capsys, terms):
+    path = write_points(tmp_path, "L4Q3-D")
+    divisor = tmp_path / "div.json"
+    divisor.write_text(json.dumps({"m": 2, "terms": terms}))
+    return run(capsys, ["upper", path, str(divisor)])
+
+
+SIDES_AND_CARRIER = [[5, 6], [4, 6], [4, 5], [0, 1]]
+
+
+def test_lower_rejects_a_negative_index(tmp_path, capsys):
+    # -1 once read as the last point, giving the line through points 0 and 6
+    code, out = run_with_aux(tmp_path, capsys, [{"type": "line", "through": [0, -1]}])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_upper_rejects_a_negative_index(tmp_path, capsys):
+    # [4, -2] once read as the side [4, 5] and certified 5/2
+    terms = [{"coeff": c, "line": ij} for c, ij in
+             zip((1, 1, 1, 2), [[5, 6], [4, 6], [4, -2], [0, 1]])]
+    code, out = run_with_divisor(tmp_path, capsys, terms)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_upper_rejects_a_bool_index(tmp_path, capsys):
+    # true once read as point 1
+    code, out = run_with_divisor(tmp_path, capsys, [{"coeff": 1, "line": [4, True]}])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_lower_rejects_a_fractional_index(tmp_path, capsys):
+    code, out = run_with_aux(tmp_path, capsys, [{"type": "line", "through": [0, 1.5]}])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_lower_rejects_a_spec_that_is_not_an_object(tmp_path, capsys):
+    code, out = run_with_aux(tmp_path, capsys, ["line"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_lower_and_upper_accept_valid_indices(tmp_path, capsys):
+    code, out = run_with_aux(tmp_path, capsys,
+                             [{"type": "line", "through": ij} for ij in SIDES_AND_CARRIER])
+    assert code == 0
+    assert json.loads(out)["certificate"]["bound"] == "5/2"
+    terms = [{"coeff": c, "line": ij} for c, ij in zip((1, 1, 1, 2), SIDES_AND_CARRIER)]
+    code, out = run_with_divisor(tmp_path, capsys, terms)
+    assert code == 0
+    assert "5/2" in out
 
 
 def test_upper_command(tmp_path, capsys):

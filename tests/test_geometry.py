@@ -3,7 +3,8 @@ import random
 import pytest
 
 from helpers import gauss_rank, transform_points, unimodular
-from waldschmidt.fixtures import STANDARD_CONIC, conic_point, fixture
+from test_soundness import soundness_configuration
+from waldschmidt.fixtures import STANDARD_CONIC, conic_point, fixture, fixture_names
 from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   NonUniqueConicError, PlaneCurve, ProjPoint,
                                   WrongDegreeError, chords_through,
@@ -109,6 +110,29 @@ def test_incidence_profile_conic_group():
     members, conic = next(g for g in prof.conic_subsets if len(g[0]) == 6)
     for i in members:
         assert contains(conic, fx.points[i])
+
+
+def test_profile_chords_match_the_reference():
+    """prof.chords, mapped to points, equals chords_through for every point off a
+    conic of six or more points, on the fixtures and on seeded conic-plus-external
+    inputs."""
+    inputs = [fixture(name).points for name in fixture_names()]
+    inputs += [soundness_configuration(random.Random(7919 * seed), "conic-external")
+               for seed in range(40)]
+    pairs = sizes = 0
+    for points in inputs:
+        prof = incidence_profile(points)
+        for members, _ in prof.conic_subsets:
+            for q in range(len(points)):
+                if q in members:
+                    continue
+                got = [(ln, [points[k] for k in mem])
+                       for ln, mem in prof.chords(q, members)]
+                assert got == chords_through(points[q], [points[i] for i in members])
+                pairs += 1
+                sizes += len(got)
+    # enough ground covered: many (point, conic) pairs and many chords among them
+    assert pairs >= 50 and sizes >= 50
 
 
 def test_incidence_profile_two_points():

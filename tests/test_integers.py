@@ -9,7 +9,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import gauss_rank, random_point, transform_points, unimodular
+from helpers import (gauss_rank, mul_vector, random_point, row_lists, transform_points,
+                     unimodular)
 from waldschmidt.fatpoints import FatPointScheme, alpha, interpolation_matrix
 from waldschmidt.fixtures import conic_point, fixture, fixture_names
 from waldschmidt.geometry import (NonUniqueConicError, ProjPoint, conic_through,
@@ -70,10 +71,10 @@ def check_matrices(points):
         mat = interpolation_matrix(FatPointScheme.uniform(points, m), d)
         assert_ints(mat.entries)
         basis = nullspace(mat)
-        assert len(basis) == mat.cols - gauss_rank(mat.row_lists())
+        assert len(basis) == mat.cols - gauss_rank(row_lists(mat))
         for v in basis:
             assert_ints(v)
-            assert all(x == 0 for x in mat.mul_vector(v))
+            assert all(x == 0 for x in mul_vector(mat, v))
     assert_ints(line_through(points[0], points[1]).coeffs)
     assert_ints(alpha(FatPointScheme.uniform(points, 1)).witness.coeffs)
 
