@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_registry_contains_required_names():
 def test_unknown_fixture_raises():
     with pytest.raises(UnknownFixtureError):
         fixture("NO-SUCH-THING")
+
+
+def test_registry_matches_snapshot():
+    # names in order and every fixture's JSON, byte for byte, as first recorded
+    snap = json.loads((Path(__file__).parent / "fixture_snapshot.json").read_text())
+    assert fixture_names() == snap["names"]
+    for name in fixture_names():
+        assert json.dumps(fixture(name).to_json()) == json.dumps(snap["fixtures"][name])
+    # a lookup is case-insensitive and keeps the name as given
+    alias = dict(snap["fixtures"]["CONIC6+Q"], name="conic6+q")
+    assert json.dumps(fixture("conic6+q").to_json()) == json.dumps(alias)
 
 
 def test_generation_is_deterministic():
