@@ -42,6 +42,10 @@ def _parse_points(obj):
     if not isinstance(obj, dict) or "points" not in obj:
         raise InputError('input must be an object with a "points" field')
     try:
+        if "m" in obj:
+            _count(obj["m"], "m", 1)
+        for m in obj.get("mults", ()):
+            _count(m, "multiplicity", 1)
         scheme = FatPointScheme.parse(obj)
     except (GeometryError, ValueError, KeyError, TypeError) as exc:
         raise InputError("bad points: %s" % exc)
@@ -75,7 +79,9 @@ def cmd_classify(path, cfg):
 def cmd_alpha(path, m, cfg):
     scheme_in = _parse_points(_load_json(path))
     if m is None:
-        m = scheme_in.mults[0] if scheme_in.is_uniform() else 1
+        if not scheme_in.is_uniform():
+            raise InputError("alpha needs -m when the multiplicities differ")
+        m = scheme_in.mults[0]
     scheme = FatPointScheme.uniform(scheme_in.points, m)
     result = alpha(scheme)
     payload = result.to_json()
@@ -129,6 +135,13 @@ def _point(pts, i):
     return pts[i]
 
 
+def _count(value, what, least):
+    """A multiplicity or coefficient from an input file: a non-bool int >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError("%s %r is not an integer >= %d" % (what, value, least))
+    return value
+
+
 def _parse_aux_spec(spec_list, pts):
     """(curves, labels, attested indices) from JSON specs over point indices."""
     curves = []
@@ -162,11 +175,12 @@ def _parse_divisor(obj, scheme, m_flag):
     m = m_flag if m_flag is not None else obj.get("m")
     if m is None:
         raise InputError("multiplicity m missing (flag or divisor file)")
+    m = _count(m, "m", 1)
     pts = scheme.points
     terms = []
     try:
         for term in obj["terms"]:
-            coeff = int(term["coeff"])
+            coeff = _count(term["coeff"], "coeff", 0)
             if "curve" in term:
                 curve = PlaneCurve.parse(term["curve"])
             elif "line" in term:
@@ -179,7 +193,7 @@ def _parse_divisor(obj, scheme, m_flag):
             terms.append((curve, coeff))
     except (GeometryError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise InputError("bad divisor: %s" % exc)
-    return FormalDivisor(terms, int(m))
+    return FormalDivisor(terms, m)
 
 
 def cmd_upper(path, divisor_path, m, cfg):

@@ -124,10 +124,10 @@ def run_with_aux(tmp_path, capsys, specs):
     return run(capsys, ["--json", "lower", path, str(aux)])
 
 
-def run_with_divisor(tmp_path, capsys, terms):
+def run_with_divisor(tmp_path, capsys, terms, m=2):
     path = write_points(tmp_path, "L4Q3-D")
     divisor = tmp_path / "div.json"
-    divisor.write_text(json.dumps({"m": 2, "terms": terms}))
+    divisor.write_text(json.dumps({"m": m, "terms": terms}))
     return run(capsys, ["upper", path, str(divisor)])
 
 
@@ -167,6 +167,48 @@ def test_lower_rejects_a_spec_that_is_not_an_object(tmp_path, capsys):
     code, out = run_with_aux(tmp_path, capsys, ["line"])
     assert code == cli.EXIT_INPUT_ERROR
     assert out.startswith("input error:")
+
+
+# each was once read through int(): 2.9 as 2, true as 1, "2" as 2, and the
+# divisor then certified 5/2 (or 5 for m = true) with exit 0
+@pytest.mark.parametrize("m, coeffs", [
+    (2.9, (1, 1, 1, 2)),
+    (True, (1, 1, 1, 2)),
+    ("2", (1, 1, 1, 2)),
+    (2, (1.9, 1, 1, 2)),
+    (2, (1, 1, True, 2)),
+], ids=["fractional-m", "bool-m", "string-m", "fractional-coeff", "bool-coeff"])
+def test_upper_rejects_a_number_that_is_not_an_integer(tmp_path, capsys, m, coeffs):
+    terms = [{"coeff": c, "line": ij} for c, ij in zip(coeffs, SIDES_AND_CARRIER)]
+    code, out = run_with_divisor(tmp_path, capsys, terms, m=m)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def run_alpha_on(tmp_path, capsys, **fields):
+    path = tmp_path / "fat.json"
+    points = [p.to_json() for p in fixture("L4Q3-D").points]
+    path.write_text(json.dumps(dict(points=points, **fields)))
+    return run(capsys, ["alpha", str(path)])
+
+
+# each once ran: 2.9 and 2.5 as multiplicity 2, unequal multiplicities as 1
+@pytest.mark.parametrize("fields", [
+    {"m": 2.9},
+    {"mults": [2] * 6 + [2.5]},
+    {"mults": [1] * 6 + [2]},
+], ids=["fractional-m", "fractional-mult", "unequal-mults-without-m"])
+def test_alpha_rejects_a_multiplicity_it_cannot_use(tmp_path, capsys, fields):
+    code, out = run_alpha_on(tmp_path, capsys, **fields)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_alpha_reads_integer_multiplicities(tmp_path, capsys):
+    for fields in ({"m": 2}, {"mults": [2] * 7}):
+        code, out = run_alpha_on(tmp_path, capsys, **fields)
+        assert code == 0
+        assert "alpha(2X) = 5" in out
 
 
 def test_lower_and_upper_accept_valid_indices(tmp_path, capsys):

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, UnknownFixtureError,
-                                  conic_point, fixture, fixture_names)
-from waldschmidt.geometry import (chords_through, conic_through, contains,
+from waldschmidt import fixtures
+from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, STANDARD_LINE, FixtureError,
+                                  UnknownFixtureError, conic_chord, conic_point, fixture,
+                                  fixture_names)
+from waldschmidt.geometry import (ProjPoint, chords_through, conic_through, contains,
                                   is_irreducible_conic, is_smooth_cubic,
                                   line_through, q_collinear_set)
 
@@ -25,8 +27,50 @@ def test_registry_contains_required_names():
 
 
 def test_unknown_fixture_raises():
-    with pytest.raises(UnknownFixtureError):
-        fixture("NO-SUCH-THING")
+    # LNQ3-52(11) once resolved although no list named it
+    for name in ("NO-SUCH-THING", "LNQ3-52(11)"):
+        with pytest.raises(UnknownFixtureError):
+            fixture(name)
+
+
+def _registered(build):
+    """A call that looks up `build` under a fresh registry name."""
+    def call(monkeypatch):
+        monkeypatch.setitem(fixtures._FIXTURES, "BROKEN", (build, None, "none", ()))
+        fixture("BROKEN")
+    return call
+
+
+# case -> (call that breaks one self-check, the message it must raise)
+BROKEN = {
+    "line-side-count": (lambda mp: fixtures._line([(1, 1), (1, 2), (1, 3), (1, 4)], 1),
+                        "expected 1 side points, found 0"),
+    "conic-chord-count": (lambda mp: fixtures._conic((0, 1, 2, 3, -1, -2), [ProjPoint(1, 0, 1)],
+                                                     chords=2),
+                          "expected concurrency 2, found 1"),
+    "external-on-conic": (lambda mp: fixtures._conic((0, 1, 2), [conic_point(5)]),
+                          "lies on the standard conic"),
+    "extra-off-line": (lambda mp: fixtures._conic((0, 1, 2, 3, -1), [ProjPoint(1, 2, 1)],
+                                                  line=STANDARD_LINE),
+                       "off the carrier line"),
+    "shared-count": (lambda mp: fixtures._conic((1, -1, 0, 2, 3, -2), [ProjPoint(1, 2, 1)],
+                                                line=conic_chord(1, -1), shared=3),
+                     "exactly 3 conic points"),
+    "off-cubic": (lambda mp: fixtures._cubic([ProjPoint(0, 0, 1), ProjPoint(1, 1, 1)]),
+                  "off the cubic"),
+    "repeated-point": (_registered(lambda: [ProjPoint(0, 0, 1)] * 2),
+                       "BROKEN: fixture points are not pairwise distinct"),
+    "repeated-conic-point": (_registered(lambda: fixtures._conic((0, 0, 1), [ProjPoint(1, 0, 2)],
+                                                                 chords=0)),
+                             "BROKEN: fixture points are not pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_every_self_check_fires(case, monkeypatch):
+    call, message = BROKEN[case]
+    with pytest.raises(FixtureError, match=message):
+        call(monkeypatch)
 
 
 def test_registry_matches_snapshot():
@@ -119,6 +163,12 @@ def test_expected_blocks_serialize():
     assert blob["points"][0] == ["1", "-1", "0"]
     fx = fixture("NINE-54")
     assert fx.to_json()["expected"] == {"lower": "14/5"}
+
+
+def test_nine54_line_points_on_standard_line():
+    pts = fixture("NINE-54").points
+    assert all(contains(STANDARD_LINE, p) for p in pts[5:])
+    assert not any(contains(STANDARD_LINE, p) for p in pts[:5])
 
 
 def test_standard_carriers():
