@@ -68,7 +68,7 @@ def conic_chord(s, t):
 
 
 def _line(params, sides):
-    """Points (a:b:0) on STANDARD_LINE, then the triangle, with `sides` of them on its sides."""
+    """Points (a:b:0) on STANDARD_LINE, then the triangle; `sides` of them are on its sides."""
     pts = [ProjPoint(a, b, 0) for a, b in params]
     found = len(q_collinear_set(pts, _TRIANGLE))
     if found != sides:

@@ -60,9 +60,9 @@ BROKEN = {
                   "off the cubic"),
     "repeated-point": (_registered(lambda: [ProjPoint(0, 0, 1)] * 2),
                        "BROKEN: fixture points are not pairwise distinct"),
-    "repeated-conic-point": (_registered(lambda: fixtures._conic((0, 0, 1), [ProjPoint(1, 0, 2)],
-                                                                 chords=0)),
-                             "BROKEN: fixture points are not pairwise distinct"),
+    "repeated-conic-point": (
+        _registered(lambda: fixtures._conic((0, 0, 1), [ProjPoint(1, 0, 2)], chords=0)),
+        "BROKEN: fixture points are not pairwise distinct"),
 }
 
 
