@@ -42,10 +42,6 @@ def _parse_points(obj):
     if not isinstance(obj, dict) or "points" not in obj:
         raise InputError('input must be an object with a "points" field')
     try:
-        if "m" in obj:
-            _count(obj["m"], "m", 1)
-        for m in obj.get("mults", ()):
-            _count(m, "multiplicity", 1)
         scheme = FatPointScheme.parse(obj)
     except (GeometryError, ValueError, KeyError, TypeError) as exc:
         raise InputError("bad points: %s" % exc)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from .fatpoints import FatPointScheme, alpha, degree_floor
 from .geometry import mult_at
-from .linalg import format_rational
+from .linalg import format_rational, require_int
 
 
 class InsufficientMultiplicityError(ValueError):
@@ -12,16 +12,16 @@ class InsufficientMultiplicityError(ValueError):
 
 
 class FormalDivisor:
-    """Nonnegative integer combination of plane curves, targeting multiplicity m."""
+    """Nonnegative int combination of plane curves, targeting int multiplicity m."""
 
     def __init__(self, terms, m):
-        terms = [(curve, int(c)) for curve, c in terms]
+        terms = [(curve, require_int(c, "coefficient")) for curve, c in terms]
         if any(c < 0 for _, c in terms):
             raise ValueError("coefficients must be nonnegative")
         if all(c == 0 for _, c in terms):
             raise ValueError("divisor needs at least one positive coefficient")
         self.terms = terms
-        self.m = int(m)
+        self.m = require_int(m, "m")
 
     @property
     def degree(self):

@@ -5,7 +5,7 @@ from math import ceil
 
 from .geometry import (DuplicatePointError, PlaneCurve, ProjPoint, derivative_row,
                        monomial_count, monomials, mult_at)
-from .linalg import PRIMES, RatMatrix, nullspace, rank_exact
+from .linalg import RatMatrix, nullspace, rank_exact, require_int
 
 
 class AlphaSearchError(RuntimeError):
@@ -13,13 +13,13 @@ class AlphaSearchError(RuntimeError):
 
 
 class FatPointScheme:
-    """Distinct points with positive integer multiplicities."""
+    """Distinct points with positive int multiplicities."""
 
     __slots__ = ("points", "mults")
 
     def __init__(self, points, mults):
         points = tuple(points)
-        mults = tuple(int(m) for m in mults)
+        mults = tuple(require_int(m, "multiplicity") for m in mults)
         if len(points) != len(mults):
             raise ValueError("points and multiplicities differ in length")
         if len(set(points)) != len(points):
@@ -41,7 +41,7 @@ class FatPointScheme:
         points = [ProjPoint.parse(p) for p in obj["points"]]
         if "mults" in obj:
             return cls(points, obj["mults"])
-        return cls.uniform(points, int(obj.get("m", 1)))
+        return cls.uniform(points, obj.get("m", 1))
 
     def to_json(self):
         uniform = len(set(self.mults)) == 1
@@ -119,7 +119,7 @@ def degree_floor(lower_bound, m):
     return max(1, ceil(Fraction(lower_bound) * m))
 
 
-def alpha(scheme, min_degree=None, primes=PRIMES):
+def alpha(scheme, min_degree=None):
     """Smallest degree with a nonzero form vanishing to the prescribed orders.
 
     min_degree is a hint, checked before it is used: when it is above the
@@ -127,10 +127,8 @@ def alpha(scheme, min_degree=None, primes=PRIMES):
     Dimensions only grow with the degree (multiply by a linear form), so a
     zero there rules out every lower degree; otherwise the hint is dropped
     and the search starts from the largest multiplicity.  Neither the
-    checked degree nor skipped ones are recorded in h0_trace.  Kernels are
-    found mod primes first (see linalg.nullspace); primes=() means exact
-    elimination only, the reference the tests compare against.  The search
-    is capped at 3*max(m)*n, always reachable by a product of lines.
+    checked degree nor skipped ones are recorded in h0_trace.  The search is
+    capped at 3*max(m)*n, always reachable by a product of lines.
     """
     if scheme.n == 0:
         raise ValueError("scheme must be nonempty")
@@ -139,11 +137,11 @@ def alpha(scheme, min_degree=None, primes=PRIMES):
     d = max(low, min_degree or 1)
     if d > cap:
         raise AlphaSearchError("no section found up to the cap %d" % cap)
-    if d > low and nullspace(interpolation_matrix(scheme, d - 1), primes):
+    if d > low and nullspace(interpolation_matrix(scheme, d - 1)):
         d = low
     trace = []
     while d <= cap:
-        basis = nullspace(interpolation_matrix(scheme, d), primes)
+        basis = nullspace(interpolation_matrix(scheme, d))
         trace.append((d, len(basis)))
         if basis:
             witness = PlaneCurve(d, basis[0])

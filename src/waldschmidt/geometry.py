@@ -5,7 +5,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, perm
 
-from .linalg import RatMatrix, nullspace, parse_rational, primitive, rank_exact
+from .linalg import (RatMatrix, nullspace, parse_rational, primitive, rank_exact,
+                     require_int)
 
 
 class GeometryError(ValueError):
@@ -44,6 +45,25 @@ def monomials(d):
 
 def monomial_count(d):
     return comb(d + 2, 2)
+
+
+@lru_cache(maxsize=None)
+def _position(d):
+    """Index of each degree-d exponent triple in monomials(d)."""
+    return {m: i for i, m in enumerate(monomials(d))}
+
+
+def _product(a, da, b, db):
+    """Coefficients of the product of the forms with coefficients a (degree da)
+    and b (degree db), in the order of monomials(da + db)."""
+    index = _position(da + db)
+    out = [0] * len(index)
+    for ca, (a0, a1, a2) in zip(a, monomials(da)):
+        if ca:
+            for cb, (b0, b1, b2) in zip(b, monomials(db)):
+                if cb:
+                    out[index[a0 + b0, a1 + b1, a2 + b2]] += ca * cb
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -92,14 +112,14 @@ class PlaneCurve:
     """Plane curve of degree d as a primitive integer coefficient vector.
 
     Coefficients follow the graded-lex monomial order of monomials(d); the
-    constructor accepts rationals and stores the primitive ints.
+    constructor takes an int degree and rationals, and stores primitive ints.
     """
 
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
         coeffs = list(coeffs)
-        if degree < 1:
+        if require_int(degree, "degree") < 1:
             raise WrongDegreeError("curve degree must be >= 1")
         if len(coeffs) != monomial_count(degree):
             raise GeometryError("degree-%d curve needs %d coefficients"
@@ -115,7 +135,7 @@ class PlaneCurve:
 
     @classmethod
     def parse(cls, obj):
-        return cls(int(obj["degree"]), [parse_rational(c) for c in obj["coeffs"]])
+        return cls(obj["degree"], [parse_rational(c) for c in obj["coeffs"]])
 
     def to_json(self):
         return {"degree": self.degree,
@@ -130,20 +150,9 @@ class PlaneCurve:
                                          derivative_row(self.degree, point, beta)) if c)
 
     def multiply(self, other):
-        """Product curve; coefficient convolution in the fixed monomial order."""
-        d = self.degree + other.degree
-        mons = monomials(d)
-        index = {m: i for i, m in enumerate(mons)}
-        out = [0] * len(mons)
-        for ca, ma in zip(self.coeffs, monomials(self.degree)):
-            if not ca:
-                continue
-            for cb, mb in zip(other.coeffs, monomials(other.degree)):
-                if not cb:
-                    continue
-                key = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-                out[index[key]] += ca * cb
-        return PlaneCurve(d, out)
+        """Product curve."""
+        return PlaneCurve(self.degree + other.degree,
+                          _product(self.coeffs, self.degree, other.coeffs, other.degree))
 
     def __eq__(self, other):
         return (isinstance(other, PlaneCurve) and self.degree == other.degree
@@ -352,10 +361,9 @@ def cubic_with_double_point(simple, dbl):
 
 
 def _partial_vector(curve, i):
-    d = curve.degree
-    out = [0] * monomial_count(d - 1)
-    index = {m: k for k, m in enumerate(monomials(d - 1))}
-    for c, alpha in zip(curve.coeffs, monomials(d)):
+    index = _position(curve.degree - 1)
+    out = [0] * len(index)
+    for c, alpha in zip(curve.coeffs, monomials(curve.degree)):
         if c and alpha[i] >= 1:
             key = list(alpha)
             key[i] -= 1
@@ -374,19 +382,10 @@ def is_smooth_cubic(curve):
     """
     if curve.degree != 3:
         raise WrongDegreeError("expected a degree-3 curve")
-    partials = [_partial_vector(curve, i) for i in range(3)]
-    quartics = monomials(4)
-    index = {m: k for k, m in enumerate(quartics)}
-    rows = []
-    for quad in partials:
-        for gamma in monomials(2):
-            row = [0] * len(quartics)
-            for c, beta in zip(quad, monomials(2)):
-                if c:
-                    key = (beta[0] + gamma[0], beta[1] + gamma[1], beta[2] + gamma[2])
-                    row[index[key]] += c
-            rows.append(row)
-    return rank_exact(RatMatrix.from_rows(rows)) == len(quartics)
+    # the coefficient vector of each quadric monomial, to multiply the partials by
+    units = [[int(j == k) for k in range(6)] for j in range(6)]
+    rows = [_product(_partial_vector(curve, i), 2, u, 2) for i in range(3) for u in units]
+    return rank_exact(RatMatrix.from_rows(rows)) == monomial_count(4)
 
 
 def transform_point(t, p):
@@ -411,28 +410,14 @@ def _adjugate(t):
 def transform_curve(t, curve):
     """Image curve under t: substitute the inverse (adjugate) linear change."""
     inv = _adjugate(t)
-    lines = []
-    for i in range(3):
-        lines.append(list(inv[i]))
-    mons = monomials(curve.degree)
-    index = {m: i for i, m in enumerate(mons)}
-    out = [0] * len(mons)
-    for c, alpha in zip(curve.coeffs, monomials(curve.degree)):
-        if not c:
-            continue
-        # expand prod_i (inv[i].x)^alpha[i]
-        terms = {(0, 0, 0): c}
-        for i in range(3):
-            for _ in range(alpha[i]):
-                new = {}
-                for mono, coef in terms.items():
-                    for j in range(3):
-                        if lines[i][j]:
-                            key = list(mono)
-                            key[j] += 1
-                            key = tuple(key)
-                            new[key] = new.get(key, 0) + coef * lines[i][j]
-                terms = new
-        for mono, coef in terms.items():
-            out[index[mono]] += coef
-    return PlaneCurve(curve.degree, out)
+    d = curve.degree
+    out = [0] * monomial_count(d)
+    for c, alpha in zip(curve.coeffs, monomials(d)):
+        if c:
+            # c * prod_i (inv[i].x)^alpha[i], one linear factor at a time
+            term = [c]
+            factors = [row for row, a in zip(inv, alpha) for _ in range(a)]
+            for k, row in enumerate(factors):
+                term = _product(term, k, row, 1)
+            out = [o + v for o, v in zip(out, term)]
+    return PlaneCurve(d, out)

@@ -268,7 +268,8 @@ def test_criterion5_modular_rank_agreement(swept):
                     failures.append("%s m=%d modular rank mismatch at %d"
                                     % (name, e.m, p))
     report(5, not failures,
-           "modular and exact ranks agree at three primes on every touched matrix"
+           "modular and exact ranks agree at %d primes on every touched matrix"
+           % len(PRIMES)
            + ("" if not failures else "; " + "; ".join(failures)))
     assert not failures
 

@@ -6,6 +6,7 @@ import pytest
 from waldschmidt import cli
 from waldschmidt.classify import ClassificationResult
 from waldschmidt.fixtures import fixture
+from waldschmidt.geometry import line_through
 from golden import GOLDEN
 
 
@@ -209,6 +210,25 @@ def test_alpha_reads_integer_multiplicities(tmp_path, capsys):
         code, out = run_alpha_on(tmp_path, capsys, **fields)
         assert code == 0
         assert "alpha(2X) = 5" in out
+
+
+# a curve degree of 1.5 was once read as 1: lower printed "bound: 1" and upper
+# certified 5/2, both with exit 0
+def test_lower_rejects_a_curve_degree_that_is_not_an_int(tmp_path, capsys):
+    code, out = run_with_aux(tmp_path, capsys,
+                             [{"type": "explicit", "degree": 1.5, "coeffs": ["1", "0", "0"]}])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
+def test_upper_rejects_a_curve_degree_that_is_not_an_int(tmp_path, capsys):
+    pts = fixture("L4Q3-D").points
+    carrier = line_through(pts[0], pts[1]).to_json()
+    terms = [{"coeff": 1, "line": ij} for ij in SIDES_AND_CARRIER[:3]]
+    terms.append({"coeff": 2, "curve": dict(carrier, degree=1.5)})
+    code, out = run_with_divisor(tmp_path, capsys, terms)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
 
 
 def test_lower_and_upper_accept_valid_indices(tmp_path, capsys):

@@ -92,3 +92,10 @@ def test_divisor_validation():
         FormalDivisor([(line, 0)], 1)
     with pytest.raises(ValueError):
         FormalDivisor([(line, -1)], 1)
+
+
+# each was once read through int(): 1.9 as 1, 2.9 as 2, True as 1
+@pytest.mark.parametrize("coeff, m", [(1.9, 2), (True, 2), (1, 2.9), (1, True), (1, "2")])
+def test_divisor_rejects_a_number_that_is_not_an_int(coeff, m):
+    with pytest.raises(TypeError):
+        FormalDivisor([(STANDARD_CONIC, coeff)], m)

@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import expected_dimension, gauss_rank, row_lists
+from waldschmidt import linalg
 from waldschmidt.fatpoints import (AlphaSearchError, FatPointScheme, alpha,
                                    hilbert_function, ideal_dimension,
                                    interpolation_matrix)
@@ -72,11 +73,14 @@ def test_alpha_checks_a_floor_above_alpha():
 
 
 @pytest.mark.parametrize("name", fixture_names())
-def test_alpha_modular_equals_exact_on_fixtures(name):
+def test_alpha_modular_equals_exact_on_fixtures(name, monkeypatch):
     pts = fixture(name).points
     for m in (1, 2, 3):
         s = FatPointScheme.uniform(pts, m)
-        assert alpha(s).to_json() == alpha(s, primes=()).to_json()
+        monkeypatch.setattr(linalg, "SMALL", -1)  # the modular kernel at every size
+        modular = alpha(s).to_json()
+        monkeypatch.setattr(linalg, "SMALL", float("inf"))  # Bareiss alone
+        assert modular == alpha(s).to_json()
 
 
 def test_alpha_cap_error():
@@ -129,6 +133,18 @@ def test_modular_agreement_on_interpolation_matrices():
         r = rank_exact(mat)
         for p in PRIMES:
             assert rank_modular(mat, p) == r
+
+
+# each was once read through int(): 2.9 as 2, True as 1
+@pytest.mark.parametrize("m", [2.9, True, "2", 2.0])
+def test_scheme_rejects_a_multiplicity_that_is_not_an_int(m):
+    pts = fixture("L4Q3-D").points
+    with pytest.raises(TypeError):
+        FatPointScheme.uniform(pts, m)
+    with pytest.raises(TypeError):
+        FatPointScheme(pts, [2] * (len(pts) - 1) + [m])
+    with pytest.raises(TypeError):
+        FatPointScheme.parse({"points": [p.to_json() for p in pts], "m": m})
 
 
 def test_scheme_serialization_roundtrip():

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from helpers import gauss_rank, transform_points, unimodular
+from helpers import gauss_rank, random_point, transform_points, unimodular
 from test_soundness import soundness_configuration
-from waldschmidt.fixtures import STANDARD_CONIC, conic_point, fixture, fixture_names
+from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
+                                  fixture_names)
 from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   NonUniqueConicError, PlaneCurve, ProjPoint,
                                   WrongDegreeError, chords_through,
                                   conic_through, contains,
                                   cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
-                                  is_smooth_cubic, line_through, mult_at,
-                                  q_collinear_set, transform_curve,
+                                  is_smooth_cubic, line_through, monomial_count,
+                                  mult_at, q_collinear_set, transform_curve,
                                   transform_point)
 
 
@@ -67,6 +68,15 @@ def test_irreducible_conic_predicate():
     assert not is_irreducible_conic(PlaneCurve(2, [1, 0, 0, 0, 0, 0]))  # x0^2
     with pytest.raises(WrongDegreeError):
         is_irreducible_conic(PlaneCurve(1, [1, 0, 0]))
+
+
+# each was once read through int() by PlaneCurve.parse, and True kept as degree 1
+@pytest.mark.parametrize("degree", [1.5, True, "1", 1.0])
+def test_curve_rejects_a_degree_that_is_not_an_int(degree):
+    with pytest.raises(TypeError):
+        PlaneCurve(degree, [1, 0, 0])
+    with pytest.raises(TypeError):
+        PlaneCurve.parse({"degree": degree, "coeffs": ["1", "0", "0"]})
 
 
 def test_mult_at_basics():
@@ -233,3 +243,74 @@ def test_transform_curve_compatible_with_points():
         curve = transform_curve(t, STANDARD_CONIC)
         assert contains(curve, img)
         assert mult_at(curve, img) == 1
+
+
+def random_curve(rng, d):
+    while True:
+        coeffs = [rng.choice((0, rng.randint(-4, 4))) for _ in range(monomial_count(d))]
+        if any(coeffs):
+            return PlaneCurve(d, coeffs)
+
+
+def invertible(rng):
+    """Random integer 3x3 matrix with |det| >= 2, so not unimodular."""
+    while True:
+        t = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        det = sum(t[0][j] * (t[1][(j + 1) % 3] * t[2][(j + 2) % 3]
+                             - t[1][(j + 2) % 3] * t[2][(j + 1) % 3]) for j in range(3))
+        if abs(det) >= 2:
+            return t
+
+
+def meet(a, b):
+    """The common point of two distinct lines."""
+    (a0, a1, a2), (b0, b1, b2) = a.coeffs, b.coeffs
+    return ProjPoint(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_evaluates_to_the_product_of_values(seed):
+    rng = random.Random(seed)
+    for da in range(1, 5):
+        for db in range(1, 5):
+            f, g = random_curve(rng, da), random_curve(rng, db)
+            fg = f.multiply(g)
+            assert fg.degree == da + db
+            for _ in range(4):
+                p = random_point(rng)
+                assert fg.evaluate(p) == f.evaluate(p) * g.evaluate(p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transform_curve_keeps_multiplicities(seed):
+    # three concurrent lines and a fourth: a triple point, three double points
+    rng = random.Random(seed)
+    for _ in range(8):
+        t = invertible(rng)
+        p0 = random_point(rng)
+        others = [random_point(rng) for _ in range(3)]
+        lines = {line_through(p0, q) for q in others if q != p0}
+        lines.add(line_through(random_point(rng, 9), random_point(rng, 9)))
+        curve, *rest = lines
+        for ln in rest:
+            curve = curve.multiply(ln)
+        pts = {meet(a, b) for a in lines for b in lines if a != b}
+        pts.update((p0, random_point(rng)))
+        img = transform_curve(t, curve)
+        for p in pts:
+            assert mult_at(img, transform_point(t, p)) == mult_at(curve, p)
+        assert mult_at(curve, p0) >= len(lines) - 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_smoothness_is_projectively_invariant(seed):
+    rng = random.Random(seed)
+    pts = fixture("CONIC6+Q").points
+    node = cubic_with_double_point(pts[:6], pts[6])
+    cubics = [CUBIC9_CURVE, node, STANDARD_CONIC.multiply(PlaneCurve(1, [0, 0, 1])),
+              PlaneCurve(3, [1, 0, 0, 0, 0, 0, 0, -1, 0, 0])]
+    cubics += [random_curve(rng, 3) for _ in range(4)]
+    for c in cubics:
+        for t in (unimodular(rng), invertible(rng)):
+            assert is_smooth_cubic(transform_curve(t, c)) == is_smooth_cubic(c)
+    assert is_smooth_cubic(CUBIC9_CURVE) and not is_smooth_cubic(node)

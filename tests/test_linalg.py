@@ -8,9 +8,9 @@ from helpers import gauss_rank, mul_vector, row_lists, transpose
 from waldschmidt import linalg
 from waldschmidt.fixtures import fixture
 from waldschmidt.geometry import evaluation_row
-from waldschmidt.linalg import (PRIMES, BadPrimeError, RatMatrix, format_rational,
-                                nullspace, parse_rational, rank_exact,
-                                rank_modular)
+from waldschmidt.linalg import (PRIMES, BadPrimeError, RatMatrix, _nullspace_exact,
+                                _nullspace_modular, format_rational, nullspace,
+                                parse_rational, rank_exact, rank_modular)
 
 
 def conic5_matrix():
@@ -157,7 +157,22 @@ def test_modular_nullspace_equals_exact(seed):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         scale = rng.choice((1, 1, PRIMES[0], 3 * PRIMES[0] ** 2))
         m = _low_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), scale)
-        assert nullspace(m, PRIMES) == nullspace(m)
+        assert _nullspace_modular(m, PRIMES) == _nullspace_exact(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nullspace_picks_its_path_by_size(monkeypatch, seed):
+    # the modular kernel runs only above SMALL cells, and both paths agree
+    calls = []
+    monkeypatch.setattr(linalg, "_nullspace_modular",
+                        lambda m, primes: calls.append(m) or _nullspace_modular(m, primes))
+    rng = random.Random(seed)
+    rows = linalg.SMALL // 30
+    for shape in ((rows, 29), (rows, 30), (rows + 1, 30), (rows + 1, 31)):
+        m = _low_rank_matrix(rng, *shape, rng.randint(1, rows - 1), 1)
+        calls.clear()
+        assert nullspace(m) == _nullspace_exact(m)
+        assert calls == ([m] if m.rows * m.cols > linalg.SMALL else [])
 
 
 def test_modular_nullspace_on_interpolation_matrices(monkeypatch):
@@ -167,10 +182,10 @@ def test_modular_nullspace_on_interpolation_matrices(monkeypatch):
     for name, m, d in (("L4Q3-D", 2, 4), ("L4Q3-D", 2, 5), ("CONIC6+Q", 2, 5),
                        ("NINE-72-COMMON-II", 3, 8), ("NINE-72-COMMON-II", 3, 9)):
         mat = interpolation_matrix(FatPointScheme.uniform(fixture(name).points, m), d)
-        cases.append((mat, rank_exact(mat), nullspace(mat)))
+        cases.append((mat, rank_exact(mat), _nullspace_exact(mat)))
     _refuse_exact_elimination(monkeypatch)
     for mat, rank, basis in cases:
-        assert nullspace(mat, PRIMES) == basis
+        assert _nullspace_modular(mat, PRIMES) == basis
         assert rank_modular(mat, PRIMES[0]) == rank
 
 
@@ -190,7 +205,7 @@ def test_modular_kernel_of_a_large_unimodular_matrix(monkeypatch):
     m = RatMatrix.from_rows(data)
     _refuse_exact_elimination(monkeypatch)
     assert rank_modular(m, PRIMES[0]) == n
-    assert nullspace(m, PRIMES) == [linalg.primitive(x + [-1])]
+    assert nullspace(m) == [linalg.primitive(x + [-1])]
 
 
 def test_modular_nullspace_falls_back_when_primes_run_out(monkeypatch):
@@ -200,7 +215,9 @@ def test_modular_nullspace_falls_back_when_primes_run_out(monkeypatch):
     bareiss = linalg._bareiss_echelon
     monkeypatch.setattr(linalg, "_bareiss_echelon",
                         lambda rows, n: calls.append(n) or bareiss(rows, n))
-    assert nullspace(RatMatrix.from_rows([[p, 1]]), (p,)) == [[1, -p]]
+    monkeypatch.setattr(linalg, "PRIMES", (p,))
+    monkeypatch.setattr(linalg, "SMALL", 1)
+    assert nullspace(RatMatrix.from_rows([[p, 1]])) == [[1, -p]]
     assert calls == [2]
 
 
@@ -208,15 +225,15 @@ def test_modular_nullspace_prefers_earlier_pivots(monkeypatch):
     # PRIMES[0] has the same rank as 101 with an earlier pivot column, so it
     # restarts the search and lifts -1/101 on its own
     _refuse_exact_elimination(monkeypatch)
-    assert nullspace(RatMatrix.from_rows([[101, 1]]), (101, PRIMES[0])) == [[1, -101]]
+    assert _nullspace_modular(RatMatrix.from_rows([[101, 1]]), (101, PRIMES[0])) == [[1, -101]]
 
 
 def test_modular_nullspace_full_rank_and_empty():
-    assert nullspace(RatMatrix.from_rows([[1, 2], [3, 4]]), PRIMES) == []
-    assert nullspace(RatMatrix(0, 2, []), PRIMES) == [[1, 0], [0, 1]]
-    assert nullspace(RatMatrix(2, 0, []), PRIMES) == []
+    assert _nullspace_modular(RatMatrix.from_rows([[1, 2], [3, 4]]), PRIMES) == []
+    assert _nullspace_modular(RatMatrix(0, 2, []), PRIMES) == [[1, 0], [0, 1]]
+    assert _nullspace_modular(RatMatrix(2, 0, []), PRIMES) == []
 
 
 def test_modular_nullspace_skips_a_prime_dividing_a_denominator():
     m = RatMatrix.from_rows([[Fraction(1, 7), 1], [Fraction(2, 7), 2]])
-    assert nullspace(m, (7, PRIMES[0])) == nullspace(m) == [[7, -1]]
+    assert _nullspace_modular(m, (7, PRIMES[0])) == _nullspace_exact(m) == [[7, -1]]
