@@ -74,6 +74,9 @@ def cmd_classify(path, cfg):
 
 def cmd_alpha(path, m, cfg):
     scheme_in = _parse_points(_load_json(path))
+    # an empty scheme has no multiplicities, so it is not read as unequal ones
+    if not scheme_in.points:
+        raise InputError("scheme must be nonempty")
     if m is None:
         if not scheme_in.is_uniform():
             raise InputError("alpha needs -m when the multiplicities differ")
@@ -95,7 +98,8 @@ def cmd_sweep(path, cfg):
     best = min(e.ratio for e in trace)
     payload = {"sweep": [e.to_json() for e in trace],
                "minimum": format_rational(best)}
-    lines = ["m=%d alpha=%d ratio=%s" % (e.m, e.alpha, format_rational(e.ratio))
+    lines = ["m=%d alpha=%d ratio=%s (%s)" % (e.m, e.alpha, format_rational(e.ratio),
+                                               e.provenance)
              for e in trace] + ["minimum: %s" % format_rational(best)]
     _emit(payload, cfg, lines)
     return EXIT_OK

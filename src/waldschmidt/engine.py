@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from .fatpoints import FatPointScheme, alpha, degree_floor
+from .fatpoints import (FatPointScheme, alpha, check_witness, degree_floor,
+                        provably_empty)
 from .geometry import mult_at
 from .linalg import format_rational, require_int
 
@@ -51,19 +52,24 @@ def verify_upper(divisor, scheme):
 
 
 class SweepEntry:
-    __slots__ = ("m", "alpha", "ratio")
+    """alpha(mX) with a witness curve of that degree and how it was certified:
+    "search" (fatpoints.alpha) or "product a+b" (witnesses for aX and bX)."""
 
-    def __init__(self, m, a):
+    __slots__ = ("m", "alpha", "ratio", "witness", "provenance")
+
+    def __init__(self, m, a, witness, provenance):
         self.m = m
         self.alpha = a
         self.ratio = Fraction(a, m)
+        self.witness = witness
+        self.provenance = provenance
 
     def to_json(self):
-        return [self.m, str(self.alpha), format_rational(self.ratio)]
+        return [self.m, str(self.alpha), format_rational(self.ratio), self.provenance]
 
 
 class Engine:
-    """Memoizes initial degrees by scheme content, m and search floor."""
+    """Memoizes searched initial degrees by scheme content, m and search floor."""
 
     def __init__(self):
         self._memo = {}
@@ -80,11 +86,42 @@ class Engine:
         return result
 
     def sweep(self, points, m_max, lower_hint=None):
-        """alpha(mX)/m for m = 1..m_max, searching from the certified floor."""
+        """alpha(mX)/m for m = 1..m_max, each entry with a checked witness.
+
+        alpha(1X) is searched from the hint's floor.  For m >= 2, let
+        U = alpha(aX) + alpha((m-a)X), least over a <= m/2 and taking the
+        least a on ties.  The product of those two witnesses vanishes to
+        order m at every point, since multiplicities add on products, so
+        alpha(mX) <= U.  When degree U - 1 is provably empty (always so when
+        U == m), alpha(mX) = U with that product as witness, and no kernel is
+        lifted.  Otherwise alpha(mX) is searched from alpha((m-1)X) + 1, or
+        the hint's floor if higher: a first partial of a witness for mX is a
+        witness for (m-1)X one degree lower, so that floor is proven.
+
+        Product entries never enter the memo: they carry no h0_trace, and
+        the memo holds searches alone.
+        """
         if m_max < 1:
             raise ValueError("m_max must be >= 1")
-        return [SweepEntry(m, self.alpha_uniform(points, m, lower_hint).alpha)
-                for m in range(1, m_max + 1)]
+        first = self.alpha_uniform(points, 1, lower_hint)
+        entries = [SweepEntry(1, first.alpha, first.witness, "search")]
+        for m in range(2, m_max + 1):
+            scheme = FatPointScheme.uniform(points, m)
+            a = min(range(1, m // 2 + 1),
+                    key=lambda a: entries[a - 1].alpha + entries[m - a - 1].alpha)
+            f, g = entries[a - 1], entries[m - a - 1]
+            if provably_empty(scheme, f.alpha + g.alpha - 1):
+                witness = check_witness(scheme, f.witness.multiply(g.witness))
+                entries.append(SweepEntry(m, witness.degree, witness,
+                                          "product %d+%d" % (a, m - a)))
+                continue
+            floor = entries[-1].alpha + 1
+            if lower_hint is not None:
+                floor = max(floor, degree_floor(lower_hint, m))
+            # a hint of floor/m is the degree floor itself
+            found = self.alpha_uniform(points, m, Fraction(floor, m))
+            entries.append(SweepEntry(m, found.alpha, found.witness, "search"))
+        return entries
 
 
 def sweep(points, m_max, lower_hint=None):

@@ -5,7 +5,7 @@ from math import ceil
 
 from .geometry import (DuplicatePointError, PlaneCurve, ProjPoint, derivative_row,
                        monomial_count, monomials, mult_at)
-from .linalg import RatMatrix, nullspace, rank_exact, require_int
+from .linalg import PRIMES, RatMatrix, nullspace, rank_exact, rank_modular, require_int
 
 
 class AlphaSearchError(RuntimeError):
@@ -114,6 +114,31 @@ def hilbert_function(scheme, d):
     return rank_exact(interpolation_matrix(scheme, d))
 
 
+def provably_empty(scheme, d):
+    """True when degree d is proven to hold no nonzero form vanishing to the
+    prescribed orders; False when it is not proven.
+
+    Below the largest multiplicity this holds outright, as in ideal_dimension.
+    Otherwise the interpolation matrix must have full column rank mod
+    PRIMES[0]: rank mod p is at most the rank over Q, so the kernel is then 0.
+    A deficient rank mod p proves nothing, so a bad prime costs the caller a
+    search but never a wrong answer.
+    """
+    if d < max(scheme.mults):
+        return True
+    mat = interpolation_matrix(scheme, d)
+    return rank_modular(mat, PRIMES[0]) == mat.cols
+
+
+def check_witness(scheme, witness):
+    """witness itself once it vanishes to order m_i at every point p_i;
+    AlphaSearchError naming the first point where it does not."""
+    for p, m in zip(scheme.points, scheme.mults):
+        if mult_at(witness, p) < m:
+            raise AlphaSearchError("witness fails multiplicity at %r" % (p,))
+    return witness
+
+
 def degree_floor(lower_bound, m):
     """Least admissible degree given a certified lower bound on alpha/m."""
     return max(1, ceil(Fraction(lower_bound) * m))
@@ -123,12 +148,13 @@ def alpha(scheme, min_degree=None):
     """Smallest degree with a nonzero form vanishing to the prescribed orders.
 
     min_degree is a hint, checked before it is used: when it is above the
-    largest multiplicity, the degree just below it must have no such form.
-    Dimensions only grow with the degree (multiply by a linear form), so a
-    zero there rules out every lower degree; otherwise the hint is dropped
-    and the search starts from the largest multiplicity.  Neither the
-    checked degree nor skipped ones are recorded in h0_trace.  The search is
-    capped at 3*max(m)*n, always reachable by a product of lines.
+    largest multiplicity, the degree just below it must be provably empty
+    (provably_empty, one rank mod p, no kernel).  Dimensions only grow with
+    the degree (multiply by a linear form), so that rules out every lower
+    degree; otherwise the hint is dropped and the search starts from the
+    largest multiplicity.  Neither the checked degree nor skipped ones are
+    recorded in h0_trace.  The search is capped at 3*max(m)*n, always
+    reachable by a product of lines.
     """
     if scheme.n == 0:
         raise ValueError("scheme must be nonempty")
@@ -137,17 +163,14 @@ def alpha(scheme, min_degree=None):
     d = max(low, min_degree or 1)
     if d > cap:
         raise AlphaSearchError("no section found up to the cap %d" % cap)
-    if d > low and nullspace(interpolation_matrix(scheme, d - 1)):
+    if d > low and not provably_empty(scheme, d - 1):
         d = low
     trace = []
     while d <= cap:
         basis = nullspace(interpolation_matrix(scheme, d))
         trace.append((d, len(basis)))
         if basis:
-            witness = PlaneCurve(d, basis[0])
-            for p, m in zip(scheme.points, scheme.mults):
-                if mult_at(witness, p) < m:
-                    raise AlphaSearchError("witness fails multiplicity at %r" % (p,))
+            witness = check_witness(scheme, PlaneCurve(d, basis[0]))
             m_val = scheme.mults[0] if scheme.is_uniform() else None
             return AlphaResult(m_val, d, witness, trace)
         d += 1

@@ -213,14 +213,53 @@ def is_irreducible_conic(c):
     return det != 0
 
 
+def _taylor_shift(c, a):
+    """c[s] becomes the coefficient of u^s in g(a + u), where g = sum c[s] x^s."""
+    n = len(c)
+    if a:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+
+
 def mult_at(curve, point):
-    """Order of vanishing at a point: least k with a nonzero order-k partial."""
-    for k in range(curve.degree + 1):
-        for beta in monomials(k):
-            if curve.derivative_value(beta, point) != 0:
-                return k
-    # a nonzero form of degree d has a nonzero order-d partial
-    raise GeometryError("unreachable: nonzero form vanishing to excess order")
+    """Order of vanishing at a point: least k with a nonzero order-k partial.
+
+    That is the least degree of a nonzero term of the Taylor expansion of F
+    at the point.  With the point's coordinate x_k nonzero and x_i, x_j the
+    other two, H(u, v) = F(point + u e_i + v e_j) is F on the affine chart
+    x_k = point[k], centred at the point, so the order is the least s + t
+    with a nonzero coefficient of u^s v^t.  Those coefficients come from two
+    Taylor shifts, first in x_i and then in x_j.
+    """
+    p = point.coords
+    k = 2 if p[2] else 1 if p[1] else 0
+    i, j = ((1, 2), (0, 2), (0, 1))[k]
+    d = curve.degree
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * p[k])
+    # rows[b][a]: the coefficient of x_i^a x_j^b, with x_k = point[k] put in
+    rows = [[0] * (d - b + 1) for b in range(d + 1)]
+    for f, e in zip(curve.coeffs, monomials(d)):
+        if f:
+            rows[e[j]][e[i]] = f * powers[e[k]]
+    for row in rows:
+        _taylor_shift(row, p[i])
+    order = d + 1
+    for s in range(d + 1):
+        if s >= order:
+            break
+        column = [row[s] for row in rows[:d - s + 1]]
+        _taylor_shift(column, p[j])
+        for t, v in enumerate(column[:order - s]):
+            if v:
+                order = s + t
+                break
+    if order > d:
+        # a nonzero form of degree d has a nonzero order-d partial
+        raise GeometryError("unreachable: nonzero form vanishing to excess order")
+    return order
 
 
 def contains(curve, point):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from waldschmidt.geometry import ProjPoint, monomial_count, transform_point
+from waldschmidt.geometry import ProjPoint, monomial_count, monomials, transform_point
 from waldschmidt.linalg import RatMatrix
 
 
@@ -123,6 +123,17 @@ def random_point(rng, bound=4):
         coords = [rng.randint(-bound, bound) for _ in range(3)]
         if any(coords):
             return ProjPoint(*coords)
+
+
+def mult_by_partials(curve, point):
+    """Least k with a nonzero order-k partial at the point, each partial
+    evaluated on its own: the definition that geometry.mult_at computes
+    through Taylor shifts."""
+    for k in range(curve.degree + 1):
+        for beta in monomials(k):
+            if curve.derivative_value(beta, point):
+                return k
+    raise AssertionError("a nonzero form has a nonzero partial of its own degree")
 
 
 def row_lists(m):

@@ -128,7 +128,7 @@ def test_conclude_exact_and_interval():
     assert res.lower == res.upper == F(5, 2)
     blob = res.to_json()
     assert blob["value"] == {"exact": "5/2"}
-    assert blob["certificates"]["sweep"][1] == [2, "5", "5/2"]
+    assert blob["certificates"]["sweep"][1] == [2, "5", "5/2", "search"]
 
     weaker = LowerBoundCertificate(F(2), g.duals, g.system)
     res2 = conclude([weaker], trace)

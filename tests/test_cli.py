@@ -79,7 +79,9 @@ def test_sweep_command(tmp_path, capsys):
     code, out = run(capsys, ["--m-max", "3", "--json", "sweep", path])
     assert code == 0
     blob = json.loads(out)
-    assert blob["sweep"] == [[1, "3", "3"], [2, "5", "5/2"], [3, "7", "7/3"]]
+    # alpha(2X) = 5 < 3 + 3 and alpha(3X) = 7 < 3 + 5: no product attains either
+    assert blob["sweep"] == [[1, "3", "3", "search"], [2, "5", "5/2", "search"],
+                             [3, "7", "7/3", "search"]]
     assert blob["minimum"] == "7/3"
 
 
@@ -203,6 +205,24 @@ def test_alpha_rejects_a_multiplicity_it_cannot_use(tmp_path, capsys, fields):
     code, out = run_alpha_on(tmp_path, capsys, **fields)
     assert code == cli.EXIT_INPUT_ERROR
     assert out.startswith("input error:")
+
+
+# without -m this once read the empty scheme as one of unequal multiplicities
+@pytest.mark.parametrize("argv", [[], ["-m", "2"]], ids=["no-m", "m-2"])
+def test_alpha_rejects_an_empty_scheme(tmp_path, capsys, argv):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"points": []}))
+    code, out = run(capsys, ["alpha", str(path)] + argv)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out == "input error: scheme must be nonempty\n"
+
+
+def test_sweep_text_names_how_each_entry_is_certified(tmp_path, capsys):
+    path = write_points(tmp_path, "NINE-54")
+    code, out = run(capsys, ["--m-max", "2", "sweep", path])
+    assert code == 0
+    assert out.splitlines() == ["m=1 alpha=3 ratio=3 (search)",
+                                "m=2 alpha=6 ratio=3 (product 1+1)", "minimum: 3"]
 
 
 def test_alpha_reads_integer_multiplicities(tmp_path, capsys):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import gauss_rank, random_point, transform_points, unimodular
+from helpers import (gauss_rank, mult_by_partials, random_point, transform_points,
+                     unimodular)
 from test_soundness import soundness_configuration
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
                                   fixture_names)
@@ -13,7 +14,7 @@ from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
                                   is_smooth_cubic, line_through, monomial_count,
-                                  mult_at, q_collinear_set, transform_curve,
+                                  monomials, mult_at, q_collinear_set, transform_curve,
                                   transform_point)
 
 
@@ -102,6 +103,39 @@ def test_mult_additive_on_products():
         prod = f.multiply(g)
         for p in pts:
             assert mult_at(prod, p) == mult_at(f, p) + mult_at(g, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mult_at_equals_the_order_of_the_first_nonzero_partial(seed):
+    # products of lines through a chosen point and of random forms, at that
+    # point (often singular) and at random points, with zero coordinates
+    # in every position
+    rng = random.Random(seed)
+    for _ in range(150):
+        p = random_point(rng, bound=3)
+        curve = None
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.6:
+                q = random_point(rng, bound=3)
+                factor = line_through(p, q) if q != p else PlaneCurve(1, [1, 1, 1])
+            else:
+                d = rng.randint(1, 3)
+                coeffs = [rng.randint(-2, 2) for _ in range(monomial_count(d))]
+                factor = PlaneCurve(d, coeffs) if any(coeffs) else PlaneCurve(1, [0, 1, 0])
+            curve = factor if curve is None else curve.multiply(factor)
+        for q in (p, random_point(rng, bound=3), ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)):
+            assert mult_at(curve, q) == mult_by_partials(curve, q)
+
+
+def test_mult_at_of_high_order_points():
+    # x^a y^b z^c has order a + b at (0:0:1), b + c at (1:0:0), a + c at (0:1:0)
+    for a, b, c in [(5, 0, 3), (2, 4, 0), (0, 0, 6), (3, 3, 3)]:
+        d = a + b + c
+        coeffs = [int(e == (a, b, c)) for e in monomials(d)]
+        curve = PlaneCurve(d, coeffs)
+        assert mult_at(curve, ProjPoint(0, 0, 1)) == a + b
+        assert mult_at(curve, ProjPoint(1, 0, 0)) == b + c
+        assert mult_at(curve, ProjPoint(0, 1, 0)) == a + c
 
 
 def test_incidence_profile_collinear_group():
