@@ -1,9 +1,10 @@
 """Bezout-decomposition inequality systems and exact rational LP certificates."""
 
 from fractions import Fraction
+from math import lcm
 
 from .geometry import is_irreducible_conic, mult_at
-from .linalg import format_rational, parse_rational
+from .linalg import format_rational, parse_rational, require_int
 
 
 class UnverifiedCurveError(ValueError):
@@ -19,15 +20,19 @@ class LPInternalError(RuntimeError):
 
 
 class Constraint:
-    """Affine inequality t_coeff*t + sum(a_coeffs[j]*a_j) >= rhs."""
+    """Affine inequality t_coeff*t + sum(a_coeffs[j]*a_j) >= rhs, all ints.
+
+    Integer data keeps the simplex fraction-free; a Fraction or a bool raises
+    TypeError rather than being floor-divided later.
+    """
 
     __slots__ = ("label", "t_coeff", "a_coeffs", "rhs")
 
     def __init__(self, label, t_coeff, a_coeffs, rhs):
         self.label = label
-        self.t_coeff = Fraction(t_coeff)
-        self.a_coeffs = tuple(Fraction(c) for c in a_coeffs)
-        self.rhs = Fraction(rhs)
+        self.t_coeff = require_int(t_coeff, "t coefficient")
+        self.a_coeffs = tuple(require_int(c, "a coefficient") for c in a_coeffs)
+        self.rhs = require_int(rhs, "right-hand side")
 
 
 class BezoutSystem:
@@ -121,30 +126,38 @@ class VerificationResult:
         return self.ok
 
 
+def _over_common_denominator(values):
+    """(nums, den) with nums[i] / den == values[i], den the least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def verify_certificate(cert):
     """Audit a lower-bound certificate independently of any solver.
 
     The dual combination must have positive t coefficient, nonpositive net
     coefficient on every a_j (absorbed by a_j >= 0), and, after normalizing
     the t coefficient to 1, constant term equal to the claimed bound.
-    Multipliers are accepted up to overall positive scaling.
+    Multipliers are accepted up to overall positive scaling, so they are
+    scaled once by their common denominator and the sums run over ints.
     """
     reasons = []
     sys_ = cert.system
     if len(cert.duals) != len(sys_.constraints):
         return VerificationResult(False, ["dual count differs from constraint count"])
-    if any(d < 0 for d in cert.duals):
+    duals, den = _over_common_denominator(cert.duals)
+    if any(d < 0 for d in duals):
         reasons.append("negative multiplier")
-    t_total = sum(d * c.t_coeff for d, c in zip(cert.duals, sys_.constraints))
+    t_total = sum(d * c.t_coeff for d, c in zip(duals, sys_.constraints))
     if t_total <= 0:
         reasons.append("combined t coefficient is not positive")
         return VerificationResult(False, reasons)
     for j in range(sys_.nvars):
-        net = sum(d * c.a_coeffs[j] for d, c in zip(cert.duals, sys_.constraints))
+        net = sum(d * c.a_coeffs[j] for d, c in zip(duals, sys_.constraints))
         if net > 0:
             reasons.append("variable %s has positive net coefficient %s"
-                           % (sys_.var_names[j], net))
-    const = sum(d * c.rhs for d, c in zip(cert.duals, sys_.constraints)) / t_total
+                           % (sys_.var_names[j], Fraction(net, den)))
+    const = Fraction(sum(d * c.rhs for d, c in zip(duals, sys_.constraints)), t_total)
     if const != cert.bound:
         reasons.append("combination yields %s, certificate claims %s"
                        % (format_rational(const), format_rational(cert.bound)))
@@ -152,21 +165,31 @@ def verify_certificate(cert):
 
 
 def _simplex_max(obj, rows, rhs):
-    """Maximize obj.y for rows.y <= rhs, y >= 0 (rhs >= 0), by Bland's rule.
+    """Maximize obj.y for rows.y <= rhs, y >= 0 (int data, rhs >= 0), by Bland's rule.
 
-    Returns (value, y, reduced_slack) where reduced_slack holds the final
-    objective-row entries under the slack columns.
+    Returns (value, y, reduced_slack) as Fractions, where reduced_slack holds
+    the final objective-row entries under the slack columns.
+
+    The pivoting is fraction-free (Edmonds, J. Res. NBS 71B, 1967): the
+    tableau and cost row hold ints over one common denominator den, the
+    previous pivot.  A pivot leaves its own row as it is and maps every other
+    row x to (x*piv - f*y) // den, with f the row's entry in the pivot column
+    and y the pivot row; the division is exact, since every entry is a minor
+    of the initial tableau.  Pivots are positive, so den is too: signs, and
+    ratios compared by cross-multiplication, read as on the rational tableau,
+    and the pivot sequence is the one exact rational pivoting takes.
     """
     m = len(rows)
     k = len(obj)
     width = k + m
     tab = []
     for i in range(m):
-        row = [Fraction(x) for x in rows[i]] + [Fraction(0)] * m + [Fraction(rhs[i])]
-        row[k + i] = Fraction(1)
+        row = list(rows[i]) + [0] * m + [rhs[i]]
+        row[k + i] = 1
         tab.append(row)
-    cost = [Fraction(-c) for c in obj] + [Fraction(0)] * (m + 1)
+    cost = [-c for c in obj] + [0] * (m + 1)
     basis = list(range(k, k + m))
+    den = 1
     guard = 0
     while True:
         guard += 1
@@ -180,33 +203,44 @@ def _simplex_max(obj, rows, rhs):
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # ratio_i < ratio_leave, both pivot entries positive
+                lhs = tab[i][width] * tab[leave][enter]
+                rhs_ = tab[leave][width] * a
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise LPInternalError("dual LP unbounded: primal system infeasible")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            if i != leave:
+                tab[i] = _pivot_row(tab[i], prow, enter, piv, den)
+        cost = _pivot_row(cost, prow, enter, piv, den)
         basis[leave] = enter
+        den = piv
     y = [Fraction(0)] * k
     for i, b in enumerate(basis):
         if b < k:
-            y[b] = tab[i][width]
-    value = sum(o * yy for o, yy in zip(obj, y))
-    reduced_slack = [cost[k + i] for i in range(m)]
+            y[b] = Fraction(tab[i][width], den)
+    value = Fraction(sum(obj[b] * tab[i][width] for i, b in enumerate(basis) if b < k), den)
+    reduced_slack = [Fraction(cost[k + i], den) for i in range(m)]
     return value, y, reduced_slack
+
+
+def _pivot_row(row, prow, enter, piv, den):
+    """One fraction-free row update: (x*piv - f*y) // den over the row."""
+    f = row[enter]
+    if f:
+        return [(x * piv - f * y) // den for x, y in zip(row, prow)]
+    if piv == den:
+        return row
+    return [x * piv // den for x in row]
 
 
 def solve_min_ratio(system):
@@ -216,17 +250,12 @@ def solve_min_ratio(system):
     multipliers are returned as a certificate together with the primal point,
     and both sides are re-checked before returning.
     """
-    k = len(system.constraints)
-    nv = 1 + system.nvars
+    cons = system.constraints
     # dual: maximize b.y subject to A^T y <= c, y >= 0 with c = e_t
-    obj = [c.rhs for c in system.constraints]
-    rows = []
-    rhs = []
-    rows.append([c.t_coeff for c in system.constraints])
-    rhs.append(Fraction(1))
-    for j in range(system.nvars):
-        rows.append([c.a_coeffs[j] for c in system.constraints])
-        rhs.append(Fraction(0))
+    obj = [c.rhs for c in cons]
+    rows = [[c.t_coeff for c in cons]] + [[c.a_coeffs[j] for c in cons]
+                                          for j in range(system.nvars)]
+    rhs = [1] + [0] * system.nvars
     value, duals, primal = _simplex_max(obj, rows, rhs)
     cert = LowerBoundCertificate(value, duals, system, primal=tuple(primal))
     _audit_solution(system, cert)
@@ -234,12 +263,15 @@ def solve_min_ratio(system):
 
 
 def _audit_solution(system, cert):
+    """Check the primal point against every constraint and the dual value, and
+    the duals by verify_certificate; the point is scaled once to ints."""
     x = cert.primal
     if len(x) != 1 + system.nvars or any(v < 0 for v in x):
         raise LPInternalError("primal point malformed")
+    nums, den = _over_common_denominator(x)
+    t, rest = nums[0], nums[1:]
     for c in system.constraints:
-        lhs = c.t_coeff * x[0] + sum(a * v for a, v in zip(c.a_coeffs, x[1:]))
-        if lhs < c.rhs:
+        if c.t_coeff * t + sum(a * v for a, v in zip(c.a_coeffs, rest)) < c.rhs * den:
             raise LPInternalError("primal point violates %r" % c.label)
     if x[0] != cert.bound:
         raise LPInternalError("primal objective differs from dual value")

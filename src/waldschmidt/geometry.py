@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, perm
+from operator import mul
 
 from .linalg import (RatMatrix, nullspace, parse_rational, primitive, rank_exact,
                      require_int)
@@ -53,16 +54,26 @@ def _position(d):
     return {m: i for i, m in enumerate(monomials(d))}
 
 
+@lru_cache(maxsize=None)
+def _product_plan(da, db):
+    """Per degree-da monomial, the pairs (j, index of its product with the j-th
+    degree-db monomial in monomials(da + db))."""
+    index = _position(da + db)
+    return tuple(tuple((j, index[a0 + b0, a1 + b1, a2 + b2])
+                       for j, (b0, b1, b2) in enumerate(monomials(db)))
+                 for a0, a1, a2 in monomials(da))
+
+
 def _product(a, da, b, db):
     """Coefficients of the product of the forms with coefficients a (degree da)
     and b (degree db), in the order of monomials(da + db)."""
-    index = _position(da + db)
-    out = [0] * len(index)
-    for ca, (a0, a1, a2) in zip(a, monomials(da)):
+    out = [0] * monomial_count(da + db)
+    for ca, pairs in zip(a, _product_plan(da, db)):
         if ca:
-            for cb, (b0, b1, b2) in zip(b, monomials(db)):
+            for j, k in pairs:
+                cb = b[j]
                 if cb:
-                    out[index[a0 + b0, a1 + b1, a2 + b2]] += ca * cb
+                    out[k] += ca * cb
     return out
 
 
@@ -142,12 +153,11 @@ class PlaneCurve:
                 "coeffs": [str(c) for c in self.coeffs]}
 
     def evaluate(self, point):
-        return self.derivative_value((0, 0, 0), point)
+        return sum(map(mul, self.coeffs, evaluation_row(self.degree, point)))
 
     def derivative_value(self, beta, point):
         """Evaluate the mixed partial derivative given by exponent triple beta."""
-        return sum(c * v for c, v in zip(self.coeffs,
-                                         derivative_row(self.degree, point, beta)) if c)
+        return sum(map(mul, self.coeffs, derivative_row(self.degree, point, beta)))
 
     def multiply(self, other):
         """Product curve."""
@@ -165,39 +175,103 @@ class PlaneCurve:
         return "PlaneCurve(%d, %s)" % (self.degree, [str(c) for c in self.coeffs])
 
 
+def _cross(a, b):
+    """Coefficients of the line through the coordinate triples a and b; all
+    zero when they are proportional."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def line_through(p, q):
     """The unique line through two distinct points (cross product of coordinates)."""
     if p == q:
         raise IdenticalPointsError("no unique line through identical points %r" % (p,))
-    a0, a1, a2 = p.coords
-    b0, b1, b2 = q.coords
     # line coefficients for (x0, x1, x2) in monomial order of degree 1
-    return PlaneCurve(1, [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return PlaneCurve(1, _cross(p.coords, q.coords))
+
+
+def _powers(x, d):
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * x)
+    return out
 
 
 def evaluation_row(d, point):
-    """Row of degree-d monomial values at a point."""
-    return derivative_row(d, point, (0, 0, 0))
+    """Row of degree-d monomial values at a point, from one power table per
+    coordinate."""
+    if d == 1:
+        # monomials(1) is x0, x1, x2: lines are most of the incidence tests
+        return list(point.coords)
+    x0, x1, x2 = point.coords
+    p0, p1, p2 = _powers(x0, d), _powers(x1, d), _powers(x2, d)
+    return [p0[a0] * p1[a1] * p2[a2] for a0, a1, a2 in monomials(d)]
+
+
+@lru_cache(maxsize=None)
+def _derivative_plan(d, beta):
+    """Per degree-d monomial x^a, its falling factor under the beta-partial and
+    the index of x^(a - beta) in monomials(d - |beta|); index 0 where the
+    partial vanishes (factor 0)."""
+    index = _position(d - sum(beta))
+    b0, b1, b2 = beta
+    return tuple((f, index[a0 - b0, a1 - b1, a2 - b2] if f else 0)
+                 for f, (a0, a1, a2) in zip(_falling_factors(d, beta), monomials(d)))
+
+
+def derivative_rows(d, point, betas):
+    """Rows of the beta-partials of the degree-d monomials at a point, one per
+    beta.  The beta-partial of x^a is a falling factor times x^(a - beta), so
+    each row reads the point's monomial values of degree d - |beta|, which
+    are computed once per order."""
+    values = {}
+    rows = []
+    for beta in betas:
+        e = sum(beta)
+        if e not in values:
+            values[e] = evaluation_row(max(d - e, 0), point)
+        v = values[e]
+        rows.append([f * v[i] for f, i in _derivative_plan(d, beta)])
+    return rows
 
 
 def derivative_row(d, point, beta):
     """Row of the beta-partials of the degree-d monomials, evaluated at a point."""
-    x0, x1, x2 = point.coords
-    b0, b1, b2 = beta
-    return [f * x0 ** (a0 - b0) * x1 ** (a1 - b1) * x2 ** (a2 - b2) if f else 0
-            for f, (a0, a1, a2) in zip(_falling_factors(d, beta), monomials(d))]
+    return derivative_rows(d, point, (beta,))[0]
 
 
 def conic_through(pts):
-    """The unique conic through five points; rank below 5 means no unique conic."""
+    """The unique conic through five points.
+
+    It exists exactly when the points are distinct and no four of them are
+    collinear, and then some four of them, a, b, c, d, have no three
+    collinear (3x3 determinants).  The conics through those four are the
+    pencil spanned by A = L_ab*L_cd and B = L_ac*L_bd, and the one through
+    the fifth point p is B(p)*A - A(p)*B, which is nonzero since p lies on
+    both line pairs only at one of the four.  With no such four, four of the
+    points are collinear and NonUniqueConicError is raised.
+    """
     if len(pts) != 5:
         raise GeometryError("conic_through expects exactly 5 points")
     if len(set(pts)) != 5:
         raise NonUniqueConicError("duplicated points leave a pencil of conics")
-    basis = nullspace(RatMatrix.from_rows([evaluation_row(2, p) for p in pts]))
-    if len(basis) != 1:
-        raise NonUniqueConicError("evaluation matrix has rank < 5")
-    return PlaneCurve(2, basis[0])
+    coords = [p.coords for p in pts]
+    for k in range(4, -1, -1):
+        a, b, c, d = coords[:k] + coords[k + 1:]
+        ab, cd = _cross(a, b), _cross(c, d)
+        if _dot(ab, c) and _dot(ab, d) and _dot(cd, a) and _dot(cd, b):
+            ac, bd = _cross(a, c), _cross(b, d)
+            p = coords[k]
+            at_p = _dot(ab, p) * _dot(cd, p)
+            bt_p = _dot(ac, p) * _dot(bd, p)
+            return PlaneCurve(2, [bt_p * x - at_p * y for x, y in
+                                  zip(_product(ab, 1, cd, 1), _product(ac, 1, bd, 1))])
+    raise NonUniqueConicError("four of the five points are collinear")
 
 
 def is_irreducible_conic(c):
@@ -329,6 +403,7 @@ def irreducible_conics(points, collinear_groups):
     conic is yielded once, at its first 5-subset.
     """
     collinear_sets = [set(m) for m, _ in collinear_groups]
+    values = [evaluation_row(2, p) for p in points]
     seen = set()
     for combo in combinations(range(len(points)), 5):
         if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
@@ -340,7 +415,8 @@ def irreducible_conics(points, collinear_groups):
         if conic in seen or not is_irreducible_conic(conic):
             continue
         seen.add(conic)
-        yield tuple(k for k, p in enumerate(points) if contains(conic, p)), conic
+        coeffs = conic.coeffs
+        yield tuple(k for k, v in enumerate(values) if not sum(map(mul, coeffs, v))), conic
 
 
 def chords_through(q, pts):
@@ -428,9 +504,9 @@ def is_smooth_cubic(curve):
 
 
 def transform_point(t, p):
-    """Image of p under the 3x3 rational matrix t (rows of t act on coords)."""
+    """Image of p under the 3x3 matrix t of ints or Fractions (rows of t act on coords)."""
     x = p.coords
-    y = [sum(Fraction(t[i][j]) * x[j] for j in range(3)) for i in range(3)]
+    y = [t[i][0] * x[0] + t[i][1] * x[1] + t[i][2] * x[2] for i in range(3)]
     return ProjPoint(*y)
 
 

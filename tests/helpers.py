@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, perm
 
-from waldschmidt.geometry import ProjPoint, monomial_count, monomials, transform_point
-from waldschmidt.linalg import RatMatrix
+from waldschmidt.bezout import LPInternalError
+from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, monomial_count,
+                                  monomials, transform_point)
+from waldschmidt.linalg import RatMatrix, nullspace
 
 
 def gauss_rank(rows):
@@ -134,6 +136,80 @@ def mult_by_partials(curve, point):
             if curve.derivative_value(beta, point):
                 return k
     raise AssertionError("a nonzero form has a nonzero partial of its own degree")
+
+
+def simplex_by_fractions(obj, rows, rhs):
+    """bezout._simplex_max on a Fraction tableau normalized at every pivot:
+    the same Bland entering rule and ratio test, each rational entry exact."""
+    m = len(rows)
+    k = len(obj)
+    width = k + m
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in rows[i]] + [Fraction(0)] * m + [Fraction(rhs[i])]
+        row[k + i] = Fraction(1)
+        tab.append(row)
+    cost = [Fraction(-c) for c in obj] + [Fraction(0)] * (m + 1)
+    basis = list(range(k, k + m))
+    for _ in range(10000):
+        enter = next((j for j in range(width) if cost[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][width] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise LPInternalError("dual LP unbounded: primal system infeasible")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    else:
+        raise LPInternalError("pivot limit exceeded")
+    y = [Fraction(0)] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            y[b] = tab[i][width]
+    value = sum((o * yy for o, yy in zip(obj, y)), Fraction(0))
+    return value, y, [cost[k + i] for i in range(m)]
+
+
+def derivative_row_by_powers(d, point, beta):
+    """The beta-partials of the degree-d monomials at a point, each entry its
+    falling factors times three coordinate powers, taken on its own."""
+    x0, x1, x2 = point.coords
+    b0, b1, b2 = beta
+    out = []
+    for a0, a1, a2 in monomials(d):
+        if a0 < b0 or a1 < b1 or a2 < b2:
+            out.append(0)
+        else:
+            out.append(perm(a0, b0) * perm(a1, b1) * perm(a2, b2)
+                       * x0 ** (a0 - b0) * x1 ** (a1 - b1) * x2 ** (a2 - b2))
+    return out
+
+
+def conic_by_kernel(pts):
+    """The conic through five points as the kernel of their 5x6 evaluation
+    matrix; NonUniqueConicError when the kernel is not one-dimensional."""
+    if len(set(pts)) != 5:
+        raise NonUniqueConicError("duplicated points leave a pencil of conics")
+    rows = [derivative_row_by_powers(2, p, (0, 0, 0)) for p in pts]
+    basis = nullspace(RatMatrix.from_rows(rows))
+    if len(basis) != 1:
+        raise NonUniqueConicError("evaluation matrix has rank < 5")
+    return PlaneCurve(2, basis[0])
 
 
 def row_lists(m):

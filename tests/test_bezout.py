@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import lp_min_t_by_vertices
+from helpers import lp_min_t_by_vertices, simplex_by_fractions
+from test_soundness import KINDS, soundness_configuration
 from waldschmidt import bezout
-from waldschmidt.bezout import (LowerBoundCertificate, ProportionalCurvesError,
+from waldschmidt.bezout import (BezoutSystem, Constraint, LowerBoundCertificate,
+                                LPInternalError, ProportionalCurvesError,
                                 UnverifiedCurveError, build_system, solve_min_ratio,
                                 verify_certificate)
+from waldschmidt.classify import classify
 from waldschmidt.fatpoints import FatPointScheme, alpha
-from waldschmidt.fixtures import fixture
+from waldschmidt.fixtures import fixture, fixture_names
 from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through
 from golden import GOLDEN, golden_names
 
@@ -183,3 +187,89 @@ def test_certificate_json_roundtrip():
     assert back.bound == cert.bound
     assert back.duals == cert.duals
     assert verify_certificate(back)
+
+
+def test_constraint_accepts_only_ints():
+    with pytest.raises(TypeError):
+        Constraint("x", Fraction(1, 2), [1], 0)
+    with pytest.raises(TypeError):
+        Constraint("x", 1, [Fraction(1)], 0)
+    with pytest.raises(TypeError):
+        Constraint("x", 1, [1], 0.5)
+    with pytest.raises(TypeError):
+        Constraint("x", True, [1], 0)
+    c = Constraint("x", 2, [-1, 3], 4)
+    assert (c.t_coeff, c.a_coeffs, c.rhs) == (2, (-1, 3), 4)
+    assert all(type(v) is int for v in (c.t_coeff, c.rhs) + c.a_coeffs)
+
+
+def both_simplices(obj, rows, rhs):
+    """(integer result, Fraction result), or the LPInternalError message of each."""
+    out = []
+    for solve in (bezout._simplex_max, simplex_by_fractions):
+        try:
+            out.append(solve(obj, rows, rhs))
+        except LPInternalError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_integer_simplex_equals_fraction_simplex_on_classify_lps(monkeypatch):
+    # every LP classify solves on the registry and on the two soundness
+    # configurations whose fallback LP takes 40 auxiliary curves
+    calls = []
+    integer_simplex = bezout._simplex_max
+
+    def record(obj, rows, rhs):
+        calls.append((list(obj), [list(r) for r in rows], list(rhs)))
+        return integer_simplex(obj, rows, rhs)
+
+    monkeypatch.setattr(bezout, "_simplex_max", record)
+    inputs = [fixture(name).points for name in fixture_names()]
+    inputs += [soundness_configuration(random.Random(7919 * seed), KINDS[seed % len(KINDS)])
+               for seed in (7, 17)]
+    for points in inputs:
+        classify(points)
+    monkeypatch.undo()
+    assert len(calls) >= len(inputs)
+    assert sum(len(obj) == 41 for obj, _, _ in calls) == 2
+    for obj, rows, rhs in calls:
+        assert all(type(v) is int for v in obj + rhs + [x for r in rows for x in r])
+        value, y, reduced = bezout._simplex_max(obj, rows, rhs)
+        assert all(type(v) is Fraction for v in [value] + y + reduced)
+        assert (value, y, reduced) == simplex_by_fractions(obj, rows, rhs)
+
+
+def test_integer_simplex_equals_fraction_simplex_on_random_systems():
+    rng = random.Random(2024)
+    bounded = 0
+    for _ in range(400):
+        k, m = rng.randint(1, 7), rng.randint(1, 6)
+        obj = [rng.randint(-4, 9) for _ in range(k)]
+        rows = [[rng.randint(-3, 7) for _ in range(k)] for _ in range(m)]
+        rhs = [rng.choice([0, 0, 1, 2, 5, 12]) for _ in range(m)]
+        got, want = both_simplices(obj, rows, rhs)
+        assert got == want, (obj, rows, rhs)
+        bounded += not isinstance(got, str)
+    # both outcomes occur: an optimum, and an unbounded dual
+    assert 0 < bounded < 400
+
+
+def test_positive_net_coefficient_reported_at_the_duals_scale():
+    system = BezoutSystem(["a"], [Constraint("degree", 1, [-1], 0),
+                                  Constraint("c", 1, [1], 1)])
+    res = verify_certificate(LowerBoundCertificate(1, [F(0), F(1, 2)], system))
+    assert not res
+    assert res.reasons == ["variable a has positive net coefficient 1/2"]
+
+
+def test_audit_rejects_a_primal_point_off_the_system():
+    # min t over t - a >= 0, t + a >= 1 is 1/2 at (1/2, 1/2); the point
+    # (1/2, 1/3) has the optimal value but violates the second row
+    system = BezoutSystem(["a"], [Constraint("degree", 1, [-1], 0),
+                                  Constraint("c", 1, [1], 1)])
+    cert = solve_min_ratio(system)
+    assert (cert.bound, cert.primal) == (F(1, 2), (F(1, 2), F(1, 2)))
+    off = LowerBoundCertificate(cert.bound, cert.duals, system, primal=(F(1, 2), F(1, 3)))
+    with pytest.raises(LPInternalError, match="violates 'c'"):
+        bezout._audit_solution(system, off)

@@ -1,12 +1,12 @@
 import pytest
 
-from helpers import expected_dimension, gauss_rank, row_lists
+from helpers import derivative_row_by_powers, expected_dimension, gauss_rank, row_lists
 from waldschmidt import linalg
 from waldschmidt.fatpoints import (AlphaSearchError, FatPointScheme, alpha,
                                    hilbert_function, ideal_dimension,
                                    interpolation_matrix)
 from waldschmidt.fixtures import fixture, fixture_names
-from waldschmidt.geometry import ProjPoint, mult_at
+from waldschmidt.geometry import ProjPoint, derivative_row, monomials, mult_at
 from waldschmidt.linalg import rank_exact, rank_modular
 
 PRIMES = (1000003, 1000033, 1000037)
@@ -161,3 +161,17 @@ def test_scheme_rejects_duplicates_and_bad_mults():
         FatPointScheme([p, p], [1, 1])
     with pytest.raises(ValueError):
         FatPointScheme([p], [0])
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_interpolation_rows_equal_partials_taken_one_by_one(name):
+    # one power table per point and order against three powers per entry
+    points = fixture(name).points
+    for m in range(1, 5):
+        scheme = FatPointScheme.uniform(points, m)
+        for d in sorted({max(1, m - 1), m, 3 * m}):
+            want = [derivative_row_by_powers(d, p, beta)
+                    for p in points for beta in monomials(m - 1)]
+            assert row_lists(interpolation_matrix(scheme, d)) == want
+            assert [derivative_row(d, p, beta)
+                    for p in points for beta in monomials(m - 1)] == want

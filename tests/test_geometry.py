@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import (gauss_rank, mult_by_partials, random_point, transform_points,
-                     unimodular)
+from helpers import (conic_by_kernel, gauss_rank, mult_by_partials, random_point,
+                     transform_points, unimodular)
 from test_soundness import soundness_configuration
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
                                   fixture_names)
@@ -61,6 +61,50 @@ def test_conic_through_duplicate_raises():
     pts = [conic_point(t) for t in (0, 1, 2, 3)] + [conic_point(0)]
     with pytest.raises(NonUniqueConicError):
         conic_through(pts)
+
+
+def points_on_a_line(rng, k):
+    """k points s*a + t*b on the line through two random points, repeats allowed."""
+    a, b = random_point(rng), random_point(rng)
+    while b == a:
+        b = random_point(rng)
+    pts = []
+    while len(pts) < k:
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        coords = [s * x + t * y for x, y in zip(a.coords, b.coords)]
+        if any(coords):
+            pts.append(ProjPoint(*coords))
+    return pts
+
+
+def test_conic_through_equals_kernel_conic_on_random_five_points():
+    rng = random.Random(55)
+    seen = {"irreducible": 0, "reducible": 0, "none": 0}
+    for trial in range(600):
+        kind = trial % 5
+        if kind == 0:
+            pts = [random_point(rng) for _ in range(5)]
+        elif kind == 1:
+            pts = [conic_point(t) for t in rng.sample(range(-5, 6), 5)]
+        elif kind == 2:  # three collinear: a unique, reducible conic
+            pts = points_on_a_line(rng, 3) + [random_point(rng) for _ in range(2)]
+        elif kind == 3:  # four collinear: a pencil
+            pts = points_on_a_line(rng, 4) + [random_point(rng)]
+        else:  # a repeated point: a pencil
+            pts = [random_point(rng) for _ in range(4)]
+            pts.append(rng.choice(pts))
+        pts = transform_points(unimodular(rng), pts)
+        rng.shuffle(pts)
+        try:
+            want = conic_by_kernel(pts)
+        except NonUniqueConicError:
+            with pytest.raises(NonUniqueConicError):
+                conic_through(pts)
+            seen["none"] += 1
+            continue
+        assert conic_through(pts) == want, pts
+        seen["irreducible" if is_irreducible_conic(want) else "reducible"] += 1
+    assert min(seen.values()) >= 80, seen
 
 
 def test_irreducible_conic_predicate():
