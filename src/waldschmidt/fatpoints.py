@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import ceil
 
 from .geometry import (DuplicatePointError, PlaneCurve, ProjPoint, derivative_rows,
-                       monomial_count, monomials, mult_at)
+                       monomial_count, mult_at)
 from .linalg import PRIMES, RatMatrix, nullspace, rank_exact, rank_modular, require_int
 
 
@@ -92,7 +92,7 @@ def interpolation_matrix(scheme, d):
         raise ValueError("degree must be >= 1")
     rows = []
     for p, m in zip(scheme.points, scheme.mults):
-        rows.extend(derivative_rows(d, p, monomials(m - 1)))
+        rows.extend(derivative_rows(d, p, m - 1))
     return RatMatrix.from_rows(rows) if rows else RatMatrix(0, monomial_count(d), [])
 
 

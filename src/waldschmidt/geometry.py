@@ -54,26 +54,19 @@ def _position(d):
     return {m: i for i, m in enumerate(monomials(d))}
 
 
-@lru_cache(maxsize=None)
-def _product_plan(da, db):
-    """Per degree-da monomial, the pairs (j, index of its product with the j-th
-    degree-db monomial in monomials(da + db))."""
-    index = _position(da + db)
-    return tuple(tuple((j, index[a0 + b0, a1 + b1, a2 + b2])
-                       for j, (b0, b1, b2) in enumerate(monomials(db)))
-                 for a0, a1, a2 in monomials(da))
-
-
 def _product(a, da, b, db):
     """Coefficients of the product of the forms with coefficients a (degree da)
-    and b (degree db), in the order of monomials(da + db)."""
+    and b (degree db), in the order of monomials(da + db).  In monomials(d)
+    the triple (e0, e1, e2) is preceded by the s(s + 1)/2 triples with a
+    larger e0, s = d - e0 = e1 + e2, and by the e2 triples of its own e0 with
+    a larger e1."""
     out = [0] * monomial_count(da + db)
-    for ca, pairs in zip(a, _product_plan(da, db)):
+    for ca, (_, a1, a2) in zip(a, monomials(da)):
         if ca:
-            for j, k in pairs:
-                cb = b[j]
+            for cb, (_, b1, b2) in zip(b, monomials(db)):
                 if cb:
-                    out[k] += ca * cb
+                    s = a1 + a2 + b1 + b2
+                    out[s * (s + 1) // 2 + a2 + b2] += ca * cb
     return out
 
 
@@ -205,44 +198,30 @@ def _powers(x, d):
 def evaluation_row(d, point):
     """Row of degree-d monomial values at a point, from one power table per
     coordinate."""
-    if d == 1:
-        # monomials(1) is x0, x1, x2: lines are most of the incidence tests
-        return list(point.coords)
     x0, x1, x2 = point.coords
     p0, p1, p2 = _powers(x0, d), _powers(x1, d), _powers(x2, d)
     return [p0[a0] * p1[a1] * p2[a2] for a0, a1, a2 in monomials(d)]
 
 
-@lru_cache(maxsize=None)
-def _derivative_plan(d, beta):
-    """Per degree-d monomial x^a, its falling factor under the beta-partial and
-    the index of x^(a - beta) in monomials(d - |beta|); index 0 where the
-    partial vanishes (factor 0)."""
-    index = _position(d - sum(beta))
-    b0, b1, b2 = beta
-    return tuple((f, index[a0 - b0, a1 - b1, a2 - b2] if f else 0)
-                 for f, (a0, a1, a2) in zip(_falling_factors(d, beta), monomials(d)))
+def _partial_row(d, beta, values):
+    """Row of the beta-partials of the degree-d monomials, read from values,
+    the degree-(d - |beta|) monomial values at the point.  The beta-partial of
+    x^a is a falling factor times x^(a - beta), nonzero exactly when a >= beta,
+    and a -> a - beta maps those a, in order, onto monomials(d - |beta|)."""
+    rest = iter(values)
+    return [f and f * next(rest) for f in _falling_factors(d, beta)]
 
 
-def derivative_rows(d, point, betas):
+def derivative_rows(d, point, order):
     """Rows of the beta-partials of the degree-d monomials at a point, one per
-    beta.  The beta-partial of x^a is a falling factor times x^(a - beta), so
-    each row reads the point's monomial values of degree d - |beta|, which
-    are computed once per order."""
-    values = {}
-    rows = []
-    for beta in betas:
-        e = sum(beta)
-        if e not in values:
-            values[e] = evaluation_row(max(d - e, 0), point)
-        v = values[e]
-        rows.append([f * v[i] for f, i in _derivative_plan(d, beta)])
-    return rows
+    beta in monomials(order), all read from one row of monomial values."""
+    values = evaluation_row(max(d - order, 0), point)
+    return [_partial_row(d, beta, values) for beta in monomials(order)]
 
 
 def derivative_row(d, point, beta):
     """Row of the beta-partials of the degree-d monomials, evaluated at a point."""
-    return derivative_rows(d, point, (beta,))[0]
+    return _partial_row(d, beta, evaluation_row(max(d - sum(beta), 0), point))
 
 
 def conic_through(pts):
