@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
-from .geometry import is_irreducible_conic, mult_at
+from .geometry import contains, is_irreducible_conic, mult_at
 from .linalg import format_rational, parse_rational, require_int
 
 
@@ -69,6 +69,14 @@ def build_system(points, curves, labels=None, attested=()):
     with m_ij the multiplicity of curve j at point i.  Relaxing the
     decomposition integers to nonnegative rationals only enlarges the feasible
     set, so the minimum stays a valid lower bound.
+
+    Lines and irreducible conics are smooth, so m_ij is 1 where the curve
+    vanishes and 0 elsewhere.  A point of multiplicity >= 2 is a common zero
+    of the three first partials.  A line's partials are its coefficients,
+    not all zero.  A conic's are its symmetric matrix times the point, and
+    that matrix is nonsingular exactly when the conic is irreducible, so it
+    sends no point to zero.  mult_at is run only on the attested curves of
+    degree >= 3.
     """
     seen = set()
     for idx, curve in enumerate(curves):
@@ -82,7 +90,8 @@ def build_system(points, curves, labels=None, attested=()):
                 or (curve.degree > 2 and idx in attested)):
             raise UnverifiedCurveError("curve %r lacks verification" % labels[idx])
     degs = [c.degree for c in curves]
-    mrows = [[mult_at(c, p) for p in points] for c in curves]
+    mrows = [[int(contains(c, p)) for p in points] if c.degree <= 2
+             else [mult_at(c, p) for p in points] for c in curves]
     cons = [Constraint("degree", 1, [-d for d in degs], 0)]
     for j, row in enumerate(mrows):
         coeffs = [sum(a * b for a, b in zip(row, other)) - degs[j] * degs[l]

@@ -1,6 +1,5 @@
 """Exact projective-plane primitives: points, curves, incidence and multiplicity."""
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, perm
@@ -147,10 +146,6 @@ class PlaneCurve:
 
     def evaluate(self, point):
         return sum(map(mul, self.coeffs, evaluation_row(self.degree, point)))
-
-    def derivative_value(self, beta, point):
-        """Evaluate the mixed partial derivative given by exponent triple beta."""
-        return sum(map(mul, self.coeffs, derivative_row(self.degree, point, beta)))
 
     def multiply(self, other):
         """Product curve."""
@@ -316,7 +311,10 @@ def mult_at(curve, point):
 
 
 def contains(curve, point):
-    return curve.evaluate(point) == 0
+    """Whether the curve vanishes at the point; a line by one dot product."""
+    if curve.degree == 1:
+        return not _dot(curve.coeffs, point.coords)
+    return not curve.evaluate(point)
 
 
 class IncidenceProfile:
@@ -327,6 +325,11 @@ class IncidenceProfile:
     indices, in the order of the first 5-subset that spans it, and is
     enumerated on first read, so callers that need only lines never pay for
     the C(n, 5) conic search.
+
+    The pairs are walked in lexicographic order and a pair already on a found
+    line is skipped, since that line is the only one through it; each new
+    line is the cross product of its pair, its members are the points it has
+    zero dot product with, and every pair of members is then covered.
     """
 
     def __init__(self, points):
@@ -334,11 +337,16 @@ class IncidenceProfile:
         if len(set(points)) != n:
             raise DuplicatePointError("points must be pairwise distinct")
         self.points = list(points)
+        coords = [p.coords for p in points]
         self.lines = {}
+        covered = set()
         for i, j in combinations(range(n), 2):
-            ln = line_through(points[i], points[j])
-            if ln not in self.lines:
-                self.lines[ln] = tuple(k for k in range(n) if contains(ln, points[k]))
+            if (i, j) in covered:
+                continue
+            ln = _cross(coords[i], coords[j])
+            members = tuple(k for k in range(n) if not _dot(ln, coords[k]))
+            covered.update(combinations(members, 2))
+            self.lines[PlaneCurve(1, ln)] = members
         # first-pair order is the order of the member tuples: two points fix a line
         self.collinear_groups = [(members, ln) for ln, members in self.lines.items()
                                  if len(members) >= 3]
@@ -360,12 +368,14 @@ class IncidenceProfile:
     def chords(self, i, among):
         """(line, members) for each line through point i and two or more of the
         indices among; members keep the order of among, and lines come in the
-        order of their first member, as in chords_through."""
+        order of their first member, as in chords_through.  The profile's lines
+        through i split the other points, so these are read from self.lines."""
         if i in among:
             raise GeometryError("point %d must not be one of among" % i)
+        through_i = [(ln, members) for ln, members in self.lines.items() if i in members]
         by_line = {}
         for k in among:
-            by_line.setdefault(line_through(self.points[i], self.points[k]), []).append(k)
+            by_line.setdefault(next(ln for ln, on in through_i if k in on), []).append(k)
         return [(ln, tuple(mem)) for ln, mem in by_line.items() if len(mem) >= 2]
 
 
@@ -377,25 +387,34 @@ def incidence_profile(points):
 def irreducible_conics(points, collinear_groups):
     """Each irreducible conic through five of the points, with the indices it contains.
 
-    5-subsets are enumerated in lexicographic order, skipping those with three
-    points in one of collinear_groups (pairs of member indices and line); each
-    conic is yielded once, at its first 5-subset.
+    points are pairwise distinct and collinear_groups (pairs of member indices
+    and line) holds every line through three or more of them.  5-subsets are
+    enumerated in lexicographic order, skipping those with three points in one
+    of collinear_groups, and those whose points all lie on a conic already
+    yielded: that conic passes through them and is the only one that does.
+    So each conic is yielded once, at its first 5-subset.
+
+    Every subset that is left has no three points collinear, so its conic is
+    unique (conic_through needs no four collinear) and irreducible.  A conic
+    with singular symmetric matrix is L1*L2 for two lines over the algebraic
+    closure, and {L1, L2} is stable under conjugation.  Either both lines are
+    rational (possibly equal), and one of them holds three of the five
+    points, or they are distinct and conjugate, and a rational point on one
+    lies on the other, so at their one common point.
     """
     collinear_sets = [set(m) for m, _ in collinear_groups]
     values = [evaluation_row(2, p) for p in points]
-    seen = set()
+    spanned = []
     for combo in combinations(range(len(points)), 5):
         if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
             continue
-        try:
-            conic = conic_through([points[k] for k in combo])
-        except NonUniqueConicError:
+        if any(on.issuperset(combo) for on in spanned):
             continue
-        if conic in seen or not is_irreducible_conic(conic):
-            continue
-        seen.add(conic)
+        conic = conic_through([points[k] for k in combo])
         coeffs = conic.coeffs
-        yield tuple(k for k, v in enumerate(values) if not sum(map(mul, coeffs, v))), conic
+        members = tuple(k for k, v in enumerate(values) if not sum(map(mul, coeffs, v)))
+        spanned.append(set(members))
+        yield members, conic
 
 
 def chords_through(q, pts):
@@ -487,31 +506,3 @@ def transform_point(t, p):
     x = p.coords
     y = [t[i][0] * x[0] + t[i][1] * x[1] + t[i][2] * x[2] for i in range(3)]
     return ProjPoint(*y)
-
-
-def _adjugate(t):
-    t = [[Fraction(v) for v in row] for row in t]
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = t[r[0]][c[0]] * t[r[1]][c[1]] - t[r[0]][c[1]] * t[r[1]][c[0]]
-            cof[j][i] = (-1) ** (i + j) * minor
-    return cof
-
-
-def transform_curve(t, curve):
-    """Image curve under t: substitute the inverse (adjugate) linear change."""
-    inv = _adjugate(t)
-    d = curve.degree
-    out = [0] * monomial_count(d)
-    for c, alpha in zip(curve.coeffs, monomials(d)):
-        if c:
-            # c * prod_i (inv[i].x)^alpha[i], one linear factor at a time
-            term = [c]
-            factors = [row for row, a in zip(inv, alpha) for _ in range(a)]
-            for k, row in enumerate(factors):
-                term = _product(term, k, row, 1)
-            out = [o + v for o, v in zip(out, term)]
-    return PlaneCurve(d, out)

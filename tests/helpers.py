@@ -6,8 +6,10 @@ from itertools import combinations
 from math import comb, perm
 
 from waldschmidt.bezout import LPInternalError
-from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, monomial_count,
-                                  monomials, transform_point)
+from waldschmidt.fixtures import conic_point, fixture, fixture_names
+from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, _product,
+                                  conic_through, derivative_row, is_irreducible_conic,
+                                  line_through, monomial_count, monomials, transform_point)
 from waldschmidt.linalg import RatMatrix, nullspace
 
 
@@ -127,13 +129,19 @@ def random_point(rng, bound=4):
             return ProjPoint(*coords)
 
 
+def derivative_value(curve, beta, point):
+    """The mixed partial derivative of the curve's form given by exponent
+    triple beta, evaluated at the point."""
+    return sum(c * v for c, v in zip(curve.coeffs, derivative_row(curve.degree, point, beta)))
+
+
 def mult_by_partials(curve, point):
     """Least k with a nonzero order-k partial at the point, each partial
     evaluated on its own: the definition that geometry.mult_at computes
     through Taylor shifts."""
     for k in range(curve.degree + 1):
         for beta in monomials(k):
-            if curve.derivative_value(beta, point):
+            if derivative_value(curve, beta, point):
                 return k
     raise AssertionError("a nonzero form has a nonzero partial of its own degree")
 
@@ -231,3 +239,137 @@ def mul_vector(m, v):
 def expected_dimension(scheme, d):
     """Naive dimension count; the true dimension is never smaller."""
     return monomial_count(d) - sum(comb(m + 1, 2) for m in scheme.mults)
+
+
+def _adjugate(t):
+    t = [[Fraction(v) for v in row] for row in t]
+    cof = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != i]
+            c = [k for k in range(3) if k != j]
+            minor = t[r[0]][c[0]] * t[r[1]][c[1]] - t[r[0]][c[1]] * t[r[1]][c[0]]
+            cof[j][i] = (-1) ** (i + j) * minor
+    return cof
+
+
+def transform_curve(t, curve):
+    """Image curve under t: substitute the inverse (adjugate) linear change."""
+    inv = _adjugate(t)
+    d = curve.degree
+    out = [0] * monomial_count(d)
+    for c, alpha in zip(curve.coeffs, monomials(d)):
+        if c:
+            # c * prod_i (inv[i].x)^alpha[i], one linear factor at a time
+            term = [c]
+            factors = [row for row, a in zip(inv, alpha) for _ in range(a)]
+            for k, row in enumerate(factors):
+                term = _product(term, k, row, 1)
+            out = [o + v for o, v in zip(out, term)]
+    return PlaneCurve(d, out)
+
+
+def profile_by_pairs(points):
+    """(lines, collinear_groups, witness_line, max_collinear) as IncidenceProfile
+    defines them, from a line_through for every pair and each new line
+    evaluated at every point."""
+    n = len(points)
+    lines = {}
+    for i, j in combinations(range(n), 2):
+        ln = line_through(points[i], points[j])
+        if ln not in lines:
+            lines[ln] = tuple(k for k in range(n) if ln.evaluate(points[k]) == 0)
+    groups = [(members, ln) for ln, members in lines.items() if len(members) >= 3]
+    witness = max(lines, key=lambda ln: len(lines[ln]), default=None)
+    return lines, groups, witness, len(lines[witness]) if lines else 0
+
+
+def conics_by_subsets(points, collinear_groups):
+    """[(members, conic)] for the irreducible conics through five of the points:
+    every 5-subset with no three points in one of collinear_groups, in
+    lexicographic order, its conic kept when unique, irreducible and new."""
+    collinear_sets = [set(m) for m, _ in collinear_groups]
+    seen = set()
+    out = []
+    for combo in combinations(range(len(points)), 5):
+        if any(len(cs.intersection(combo)) >= 3 for cs in collinear_sets):
+            continue
+        try:
+            conic = conic_through([points[k] for k in combo])
+        except NonUniqueConicError:
+            continue
+        if conic in seen or not is_irreducible_conic(conic):
+            continue
+        seen.add(conic)
+        out.append((tuple(k for k, p in enumerate(points) if conic.evaluate(p) == 0), conic))
+    return out
+
+
+def fixture_images(seed, rounds):
+    """`rounds` rounds over the registry, each fixture mapped by a fresh
+    unimodular matrix: the inputs of the classify-images benchmark."""
+    rng = random.Random(seed)
+    fixtures = [fixture(name) for name in fixture_names()]
+    return [transform_points(unimodular(rng), fx.points)
+            for _ in range(rounds) for fx in fixtures]
+
+
+def _on_line(rng, a, b, k, taken):
+    """k new points s*a + t*b, none in taken."""
+    pts = []
+    while len(pts) < k:
+        s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+        coords = [s * x + t * y for x, y in zip(a.coords, b.coords)]
+        if any(coords):
+            p = ProjPoint(*coords)
+            if p not in taken and p not in pts:
+                pts.append(p)
+    return pts
+
+
+SPECIAL_KINDS = ("conic8-line4", "two-lines5", "grid", "two-conics", "conic-chords")
+
+
+def special_configuration(rng, kind):
+    """Points dense in special position: many collinear triples and many points
+    on one conic, mapped by a random unimodular matrix."""
+    if kind == "conic8-line4":
+        # eight conic points and four on a line through none, one or two of them
+        pts = [conic_point(t) for t in rng.sample(range(-6, 7), 8)]
+        ends = pts[:rng.randrange(3)]
+        while len(ends) < 2:
+            ends.append(random_point(rng))
+        if ends[0] == ends[1]:
+            ends[1] = conic_point(9)
+        pts += _on_line(rng, ends[0], ends[1], 4, pts)
+    elif kind == "two-lines5":
+        # two lines of five sharing a point, and a point off both
+        o, a, b = ProjPoint(1, 0, 0), ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)
+        pts = [o] + _on_line(rng, o, a, 4, [o])
+        pts += _on_line(rng, o, b, 4, pts)
+        pts.append(ProjPoint(1, 1, 1))
+    elif kind == "grid":
+        # the 3x3 grid and its eight lines of three, plus points on those lines
+        pts = [ProjPoint(1, x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(pts[:9], 2)
+            pts += _on_line(rng, a, b, 1, pts)
+    elif kind == "two-conics":
+        # six points on the standard conic, five on its image under x1 -> x2 - x1
+        pts = [conic_point(t) for t in rng.sample(range(-5, 6), 6)]
+        for t in rng.sample(range(-5, 6), 5):
+            p = conic_point(t)
+            q = ProjPoint(p.coords[0], p.coords[2] - p.coords[1], p.coords[2])
+            if q not in pts:
+                pts.append(q)
+    else:
+        # seven conic points and the meets of three pairs of their chords
+        pts = [conic_point(t) for t in rng.sample(range(-6, 7), 7)]
+        for _ in range(3):
+            a, b, c, d = rng.sample(pts[:7], 4)
+            x = line_through(a, b).coeffs
+            y = line_through(c, d).coeffs
+            pts.append(ProjPoint(x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                                 x[0] * y[1] - x[1] * y[0]))
+    return transform_points(unimodular(rng), list(dict.fromkeys(pts)))
+

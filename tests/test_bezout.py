@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from waldschmidt.bezout import (BezoutSystem, Constraint, LowerBoundCertificate,
 from waldschmidt.classify import classify
 from waldschmidt.fatpoints import FatPointScheme, alpha
 from waldschmidt.fixtures import fixture, fixture_names
-from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through
+from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through, mult_at
 from golden import GOLDEN, golden_names
 
 F = Fraction
@@ -238,6 +239,37 @@ def test_integer_simplex_equals_fraction_simplex_on_classify_lps(monkeypatch):
         value, y, reduced = bezout._simplex_max(obj, rows, rhs)
         assert all(type(v) is Fraction for v in [value] + y + reduced)
         assert (value, y, reduced) == simplex_by_fractions(obj, rows, rhs)
+
+
+def test_system_multiplicities_equal_mult_at_on_classify_lps(monkeypatch):
+    # every LP classify builds on the registry and on the two soundness
+    # configurations whose fallback LP takes 40 auxiliary curves: membership
+    # gives lines and conics the multiplicities mult_at finds
+    calls = []
+
+    def record(points, curves, labels=None, attested=()):
+        system = build_system(points, curves, labels, attested)
+        calls.append((points, curves, system))
+        return system
+
+    monkeypatch.setattr(importlib.import_module("waldschmidt.classify"), "build_system", record)
+    inputs = [fixture(name).points for name in fixture_names()]
+    inputs += [soundness_configuration(random.Random(7919 * seed), KINDS[seed % len(KINDS)])
+               for seed in (7, 17)]
+    for points in inputs:
+        classify(points)
+    monkeypatch.undo()
+    assert len(calls) >= len(inputs)
+    degrees = set()
+    for points, curves, system in calls:
+        rows = [[mult_at(c, p) for p in points] for c in curves]
+        for j, (cons, row) in enumerate(zip(system.constraints[1:], rows)):
+            assert cons.rhs == sum(row)
+            assert list(cons.a_coeffs) == [
+                sum(a * b for a, b in zip(row, other)) - curves[j].degree * c.degree
+                for c, other in zip(curves, rows)]
+        degrees.update(c.degree for c in curves)
+    assert degrees == {1, 2, 3}
 
 
 def test_integer_simplex_equals_fraction_simplex_on_random_systems():

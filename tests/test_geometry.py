@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from helpers import (conic_by_kernel, gauss_rank, mult_by_partials, random_point,
-                     transform_points, unimodular)
-from test_soundness import soundness_configuration
+from helpers import (SPECIAL_KINDS, conic_by_kernel, conics_by_subsets, fixture_images,
+                     gauss_rank, mult_by_partials, profile_by_pairs, random_point,
+                     special_configuration, transform_curve, transform_points, unimodular)
+from test_soundness import KINDS, soundness_configuration
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
                                   fixture_names)
 from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
@@ -14,7 +15,7 @@ from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
                                   is_smooth_cubic, line_through, monomial_count,
-                                  monomials, mult_at, q_collinear_set, transform_curve,
+                                  monomials, mult_at, q_collinear_set,
                                   transform_point)
 
 
@@ -221,6 +222,39 @@ def test_profile_chords_match_the_reference():
                 sizes += len(got)
     # enough ground covered: many (point, conic) pairs and many chords among them
     assert pairs >= 50 and sizes >= 50
+
+
+def reference_inputs(group):
+    if group == "fixtures":
+        return [fixture(name).points for name in fixture_names()]
+    if group == "images":
+        return fixture_images(1, 5)
+    if group == "soundness":
+        return [soundness_configuration(random.Random(7919 * seed), KINDS[seed % len(KINDS)])
+                for seed in range(200)]
+    rng = random.Random(31)
+    return [special_configuration(rng, kind) for _ in range(6) for kind in SPECIAL_KINDS]
+
+
+@pytest.mark.parametrize("group", ["fixtures", "images", "soundness", "special"])
+def test_profile_equals_the_pairwise_reference(group):
+    """Lines by pair coverage and conics skipped once spanned give the lines,
+    groups, witness and conics, in order, of a line per pair and a conic per
+    5-subset."""
+    inputs = reference_inputs(group)
+    groups = conics = 0
+    for points in inputs:
+        prof = incidence_profile(points)
+        lines, collinear_groups, witness, most = profile_by_pairs(points)
+        assert list(prof.lines.items()) == list(lines.items())
+        assert prof.collinear_groups == collinear_groups
+        assert (prof.witness_line, prof.max_collinear) == (witness, most)
+        want = conics_by_subsets(points, collinear_groups)
+        assert list(prof.conics.items()) == [(conic, members) for members, conic in want]
+        groups += len(collinear_groups)
+        conics += sum(len(members) >= 6 for members, _ in want)
+    # special position is well covered: collinear groups and conics of six or more
+    assert groups >= len(inputs) and conics >= len(inputs) // 4
 
 
 def test_incidence_profile_two_points():
