@@ -47,17 +47,6 @@ class BezoutSystem:
     def nvars(self):
         return len(self.var_names)
 
-    def to_json(self):
-        return {
-            "variables": ["t"] + self.var_names,
-            "constraints": [
-                {"label": c.label,
-                 "t": format_rational(c.t_coeff),
-                 "a": [format_rational(x) for x in c.a_coeffs],
-                 "rhs": format_rational(c.rhs)}
-                for c in self.constraints],
-        }
-
 
 def build_system(points, curves, labels=None, attested=()):
     """Bezout inequality system for the points at multiplicity 1 and verified curves.

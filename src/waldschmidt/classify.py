@@ -12,9 +12,8 @@ from itertools import combinations
 from .bezout import UnverifiedCurveError, build_system, solve_min_ratio
 from .engine import Engine, FormalDivisor, verify_upper
 from .fatpoints import FatPointScheme, interpolation_matrix
-from .geometry import (DuplicatePointError, GeometryError, PlaneCurve, conic_through,
-                       cubic_with_double_point, incidence_profile, is_smooth_cubic,
-                       line_through)
+from .geometry import (GeometryError, PlaneCurve, conic_through, cubic_with_double_point,
+                       incidence_profile, is_smooth_cubic, line_through)
 from .linalg import format_rational, nullspace
 
 RULES = {
@@ -205,8 +204,6 @@ def classify(points, m_max=2):
     points = list(points)
     if len(points) < 2:
         raise GeometryError("need at least two points")
-    if len(set(points)) != len(points):
-        raise DuplicatePointError("points must be pairwise distinct")
     prof = incidence_profile(points)
     rejected = []
     for matcher in MATCHERS:

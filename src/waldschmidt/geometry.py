@@ -47,12 +47,6 @@ def monomial_count(d):
     return comb(d + 2, 2)
 
 
-@lru_cache(maxsize=None)
-def _position(d):
-    """Index of each degree-d exponent triple in monomials(d)."""
-    return {m: i for i, m in enumerate(monomials(d))}
-
-
 def _product(a, da, b, db):
     """Coefficients of the product of the forms with coefficients a (degree da)
     and b (degree db), in the order of monomials(da + db).  In monomials(d)
@@ -214,11 +208,6 @@ def derivative_rows(d, point, order):
     return [_partial_row(d, beta, values) for beta in monomials(order)]
 
 
-def derivative_row(d, point, beta):
-    """Row of the beta-partials of the degree-d monomials, evaluated at a point."""
-    return _partial_row(d, beta, evaluation_row(max(d - sum(beta), 0), point))
-
-
 def conic_through(pts):
     """The unique conic through five points.
 
@@ -284,9 +273,7 @@ def mult_at(curve, point):
     k = 2 if p[2] else 1 if p[1] else 0
     i, j = ((1, 2), (0, 2), (0, 1))[k]
     d = curve.degree
-    powers = [1]
-    for _ in range(d):
-        powers.append(powers[-1] * p[k])
+    powers = _powers(p[k], d)
     # rows[b][a]: the coefficient of x_i^a x_j^b, with x_k = point[k] put in
     rows = [[0] * (d - b + 1) for b in range(d + 1)]
     for f, e in zip(curve.coeffs, monomials(d)):
@@ -458,9 +445,7 @@ def cubic_with_double_point(simple, dbl):
     pts = list(simple) + [dbl]
     if len(set(pts)) != 7:
         raise DuplicatePointError("the seven points must be pairwise distinct")
-    rows = [evaluation_row(3, p) for p in simple]
-    for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        rows.append(derivative_row(3, dbl, beta))
+    rows = [evaluation_row(3, p) for p in simple] + derivative_rows(3, dbl, 1)
     basis = nullspace(RatMatrix.from_rows(rows))
     if not basis:
         raise GeometryError("unreachable: 9 equations in 10 unknowns have a kernel")
@@ -474,14 +459,11 @@ def cubic_with_double_point(simple, dbl):
 
 
 def _partial_vector(curve, i):
-    index = _position(curve.degree - 1)
-    out = [0] * len(index)
-    for c, alpha in zip(curve.coeffs, monomials(curve.degree)):
-        if c and alpha[i] >= 1:
-            key = list(alpha)
-            key[i] -= 1
-            out[index[tuple(key)]] += c * alpha[i]
-    return out
+    """Coefficients of the x_i-partial of the curve's form, as _partial_row
+    reads them: the x^a with a_i >= 1, shifted down at i, are in order the
+    monomials of degree d - 1."""
+    factors = _falling_factors(curve.degree, monomials(1)[i])
+    return [f * c for f, c in zip(factors, curve.coeffs) if f]
 
 
 def is_smooth_cubic(curve):

@@ -8,10 +8,6 @@ from operator import mul
 from struct import Struct
 
 
-class BadPrimeError(ValueError):
-    """A denominator vanishes modulo the requested prime."""
-
-
 # The 32 largest primes below 2**30, for the modular kernel in nullspace.
 # Written out, since finding them at import would slow every import.
 PRIMES = (
@@ -33,7 +29,9 @@ SMALL = 450
 
 
 def parse_rational(s):
-    """Parse "p/q" or "p" into a Fraction."""
+    """Parse "p/q" or "p" into a Fraction; a bool is a TypeError, not 0 or 1."""
+    if isinstance(s, bool):
+        raise TypeError("expected a rational, not %r" % (s,))
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
@@ -57,20 +55,25 @@ def format_rational(q):
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals, stored row-major.
+    """Immutable dense matrix of ints, stored row-major as one tuple.
 
-    Integer entries are kept as int; any other entry is read as a Fraction.
+    Rank and kernel are taken over the rationals.  An entry that is not an
+    int, or is a bool, raises TypeError: a rational row is scaled to ints by
+    the caller, which leaves rank and kernel unchanged.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = [e if isinstance(e, int) else Fraction(e) for e in entries]
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("need %d entries, got %d" % (rows * cols, len(entries)))
+        if not set(map(type, entries)) <= {int}:
+            bad = next(e for e in entries if type(e) is not int)
+            raise TypeError("RatMatrix entries must be ints, not %r" % (bad,))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -128,7 +131,7 @@ def _integer_rows(m):
 
 
 def _bareiss_echelon(rows, ncols):
-    """Fraction-free (Bareiss) forward elimination in place.
+    """Bareiss (fraction-free) forward elimination in place.
 
     Returns the list of pivot columns.  Every intermediate entry is a minor of
     the input, so all divisions below are exact.  Pivot rows are chosen by
@@ -258,10 +261,7 @@ def _nullspace_modular(m, primes):
     for p in primes:
         if modulus % p == 0:
             continue
-        try:
-            pivots, echelon = _echelon_mod(m, p)
-        except BadPrimeError:
-            continue
+        pivots, echelon = _echelon_mod(m, p)
         if len(pivots) == ncols:
             return []
         key = (-len(pivots), pivots)
@@ -343,15 +343,6 @@ def _kills(m, v):
                for i in range(0, m.rows * cols, cols))
 
 
-def _residue(e, p):
-    if isinstance(e, int):
-        return e % p
-    d = e.denominator % p
-    if d == 0:
-        raise BadPrimeError("denominator divisible by %d" % p)
-    return e.numerator * pow(d, -1, p) % p
-
-
 def _echelon_mod(m, p):
     """Row echelon form of m mod p: (pivot columns, pivot rows).
 
@@ -365,8 +356,7 @@ def _echelon_mod(m, p):
     pack through struct.
 
     p must be a prime below 2**64: a larger p raises ValueError, and so does
-    a pivot that is not invertible mod a composite p.  Raises BadPrimeError
-    when some entry's denominator vanishes mod p.
+    a pivot that is not invertible mod a composite p.
     """
     if p >= 1 << 64:
         raise ValueError("p = %d is not below 2**64" % p)
@@ -379,7 +369,7 @@ def _echelon_mod(m, p):
     e = m.entries
     rows = []
     for i in range(0, len(e), ncols or 1):
-        row = int.from_bytes(pack(*[_residue(x, p) for x in e[i:i + ncols]]), "little")
+        row = int.from_bytes(pack(*[x % p for x in e[i:i + ncols]]), "little")
         if row:
             rows.append(row)
     pivots, echelon = [], []
@@ -412,7 +402,6 @@ def rank_modular(m, p):
     """Rank of m reduced mod p; a lower bound for rank_exact.
 
     p must be a prime below 2**64; a larger p raises ValueError, and so may a
-    composite p.  Raises BadPrimeError when some entry's denominator vanishes
-    mod p.
+    composite p.
     """
     return len(_echelon_mod(m, p)[0])

@@ -7,10 +7,11 @@ from math import comb, perm
 
 from waldschmidt.bezout import LPInternalError
 from waldschmidt.fixtures import conic_point, fixture, fixture_names
-from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, _product,
-                                  conic_through, derivative_row, is_irreducible_conic,
-                                  line_through, monomial_count, monomials, transform_point)
-from waldschmidt.linalg import RatMatrix, nullspace
+from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, _partial_row,
+                                  _product, conic_through, evaluation_row,
+                                  is_irreducible_conic, line_through, monomial_count,
+                                  monomials, transform_point)
+from waldschmidt.linalg import RatMatrix, nullspace, primitive
 
 
 def gauss_rank(rows):
@@ -129,6 +130,11 @@ def random_point(rng, bound=4):
             return ProjPoint(*coords)
 
 
+def derivative_row(d, point, beta):
+    """Row of the beta-partials of the degree-d monomials, evaluated at a point."""
+    return _partial_row(d, beta, evaluation_row(max(d - sum(beta), 0), point))
+
+
 def derivative_value(curve, beta, point):
     """The mixed partial derivative of the curve's form given by exponent
     triple beta, evaluated at the point."""
@@ -208,6 +214,29 @@ def derivative_row_by_powers(d, point, beta):
     return out
 
 
+def partial_vector_by_position(curve, i):
+    """Coefficients of the x_i-partial of the curve's form, each term moved to
+    the index of its exponent in monomials(d - 1): the rule that
+    geometry._partial_vector reads from falling factors."""
+    index = {m: k for k, m in enumerate(monomials(curve.degree - 1))}
+    out = [0] * len(index)
+    for c, alpha in zip(curve.coeffs, monomials(curve.degree)):
+        if c and alpha[i] >= 1:
+            key = list(alpha)
+            key[i] -= 1
+            out[index[tuple(key)]] += c * alpha[i]
+    return out
+
+
+def cubic_with_double_point_by_betas(simple, dbl):
+    """The cubic of geometry.cubic_with_double_point, from one derivative_row
+    per first-order beta at dbl, without its postconditions."""
+    rows = [evaluation_row(3, p) for p in simple]
+    for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        rows.append(derivative_row(3, dbl, beta))
+    return PlaneCurve(3, nullspace(RatMatrix.from_rows(rows))[0])
+
+
 def conic_by_kernel(pts):
     """The conic through five points as the kernel of their 5x6 evaluation
     matrix; NonUniqueConicError when the kernel is not one-dimensional."""
@@ -218,6 +247,12 @@ def conic_by_kernel(pts):
     if len(basis) != 1:
         raise NonUniqueConicError("evaluation matrix has rank < 5")
     return PlaneCurve(2, basis[0])
+
+
+def int_matrix(rows):
+    """RatMatrix of rational rows, each scaled to a primitive int row, which
+    leaves rank and kernel unchanged."""
+    return RatMatrix.from_rows([primitive(r) for r in rows])
 
 
 def row_lists(m):

@@ -251,6 +251,34 @@ def test_upper_rejects_a_curve_degree_that_is_not_an_int(tmp_path, capsys):
     assert out.startswith("input error:")
 
 
+def run_with_bool_point(tmp_path, capsys):
+    points = [[True, "0", "1"], ["0", "1", "1"], ["1", "1", "1"]]
+    path = write_points(tmp_path, "bool", points)
+    return run(capsys, ["alpha", path, "-m", "1"])
+
+
+def run_with_bool_aux_coeff(tmp_path, capsys):
+    return run_with_aux(tmp_path, capsys,
+                        [{"type": "explicit", "degree": 1, "coeffs": [True, "0", "0"]}])
+
+
+def run_with_bool_curve_coeff(tmp_path, capsys):
+    terms = [{"coeff": 1, "line": ij} for ij in SIDES_AND_CARRIER[:3]]
+    terms.append({"coeff": 2, "curve": {"degree": 1, "coeffs": ["0", "0", True]}})
+    return run_with_divisor(tmp_path, capsys, terms)
+
+
+# JSON true was once read as the rational 1: alpha printed alpha = 2, lower
+# "bound: 1" and upper certified 5/2 with the carrier x2 = 0, all with exit 0
+@pytest.mark.parametrize("runner", [run_with_bool_point, run_with_bool_aux_coeff,
+                                    run_with_bool_curve_coeff],
+                         ids=["point-coordinate", "aux-coeff", "divisor-curve-coeff"])
+def test_a_bool_rational_is_an_input_error(tmp_path, capsys, runner):
+    code, out = runner(tmp_path, capsys)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error:")
+
+
 def test_lower_and_upper_accept_valid_indices(tmp_path, capsys):
     code, out = run_with_aux(tmp_path, capsys,
                              [{"type": "line", "through": ij} for ij in SIDES_AND_CARRIER])

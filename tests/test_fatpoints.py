@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import derivative_row_by_powers, expected_dimension, gauss_rank, row_lists
+from helpers import (derivative_row, derivative_row_by_powers, expected_dimension,
+                     gauss_rank, row_lists)
 from waldschmidt import linalg
 from waldschmidt.fatpoints import (AlphaSearchError, FatPointScheme, alpha,
                                    hilbert_function, ideal_dimension,
                                    interpolation_matrix)
 from waldschmidt.fixtures import fixture, fixture_names
-from waldschmidt.geometry import ProjPoint, derivative_row, monomials, mult_at
+from waldschmidt.geometry import ProjPoint, monomials, mult_at
 from waldschmidt.linalg import rank_exact, rank_modular
 
 PRIMES = (1000003, 1000033, 1000037)

@@ -2,21 +2,25 @@ import random
 
 import pytest
 
-from helpers import (SPECIAL_KINDS, conic_by_kernel, conics_by_subsets, fixture_images,
-                     gauss_rank, mult_by_partials, profile_by_pairs, random_point,
-                     special_configuration, transform_curve, transform_points, unimodular)
+from helpers import (SPECIAL_KINDS, conic_by_kernel, conics_by_subsets,
+                     cubic_with_double_point_by_betas, fixture_images, gauss_rank,
+                     mult_by_partials, partial_vector_by_position, profile_by_pairs,
+                     random_point, special_configuration, transform_curve,
+                     transform_points, unimodular)
 from test_soundness import KINDS, soundness_configuration
+from waldschmidt import geometry
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
                                   fixture_names)
 from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
                                   NonUniqueConicError, PlaneCurve, ProjPoint,
-                                  WrongDegreeError, chords_through,
+                                  WrongDegreeError, _partial_vector, chords_through,
                                   conic_through, contains,
                                   cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
                                   is_smooth_cubic, line_through, monomial_count,
                                   monomials, mult_at, q_collinear_set,
                                   transform_point)
+from waldschmidt.linalg import RatMatrix, nullspace
 
 
 def test_line_through_coordinate_axes():
@@ -426,3 +430,54 @@ def test_smoothness_is_projectively_invariant(seed):
         for t in (unimodular(rng), invertible(rng)):
             assert is_smooth_cubic(transform_curve(t, c)) == is_smooth_cubic(c)
     assert is_smooth_cubic(CUBIC9_CURVE) and not is_smooth_cubic(node)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partial_vector_equals_the_reference_by_position(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        curve = random_curve(rng, rng.randint(1, 6))
+        for i in range(3):
+            assert _partial_vector(curve, i) == partial_vector_by_position(curve, i)
+
+
+def seven_point_sets(rng, count):
+    """The first seven points of every fixture that has seven, then count
+    seeded sets of seven distinct random points."""
+    sets = [fixture(name).points[:7] for name in fixture_names()
+            if len(fixture(name).points) >= 7]
+    while count:
+        pts = list(dict.fromkeys(random_point(rng) for _ in range(7)))
+        if len(pts) == 7:
+            sets.append(pts)
+            count -= 1
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cubic_with_double_point_equals_the_reference_by_betas(seed):
+    for pts in seven_point_sets(random.Random(seed), 20):
+        assert (cubic_with_double_point(pts[:6], pts[6])
+                == cubic_with_double_point_by_betas(pts[:6], pts[6]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_smoothness_equals_the_reference_by_position(monkeypatch, seed):
+    # nodal cubics, the cubics through nine fixture points, line times conic
+    # and random forms, tested with each rule for the partials
+    rng = random.Random(seed)
+    cubics = [CUBIC9_CURVE]
+    for pts in seven_point_sets(rng, 10):
+        cubics.append(cubic_with_double_point(pts[:6], pts[6]))
+    for name in fixture_names():
+        pts = fixture(name).points
+        if len(pts) >= 9:
+            rows = [evaluation_row(3, p) for p in pts[:9]]
+            cubics += [PlaneCurve(3, v) for v in nullspace(RatMatrix.from_rows(rows))]
+    for _ in range(20):
+        cubics.append(random_curve(rng, 1).multiply(random_curve(rng, 2)))
+        cubics.append(random_curve(rng, 3))
+    smooth = [is_smooth_cubic(c) for c in cubics]
+    assert True in smooth and False in smooth
+    monkeypatch.setattr(geometry, "_partial_vector", partial_vector_by_position)
+    assert [is_smooth_cubic(c) for c in cubics] == smooth

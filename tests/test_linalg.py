@@ -4,11 +4,11 @@ from math import isqrt
 
 import pytest
 
-from helpers import gauss_rank, mul_vector, row_lists, transpose
+from helpers import derivative_row, gauss_rank, int_matrix, mul_vector, row_lists, transpose
 from waldschmidt import linalg
 from waldschmidt.fixtures import fixture
 from waldschmidt.geometry import evaluation_row
-from waldschmidt.linalg import (PRIMES, BadPrimeError, RatMatrix, _nullspace_exact,
+from waldschmidt.linalg import (PRIMES, RatMatrix, _nullspace_exact,
                                 _nullspace_modular, format_rational, nullspace,
                                 parse_rational, rank_exact, rank_modular)
 
@@ -46,7 +46,6 @@ def test_nullspace_full_rank_is_empty():
 
 
 def test_nullspace_nine_by_ten_is_nontrivial():
-    from waldschmidt.geometry import derivative_row
     fx = fixture("CONIC6+Q")
     simple, dbl = fx.points[:6], fx.points[6]
     rows = [evaluation_row(3, p) for p in simple]
@@ -72,15 +71,19 @@ def test_rank_modular_conic5_matches_exact():
     assert rank_modular(m, 10007) == rank_exact(m) == 5
 
 
-def test_rank_modular_bad_prime():
-    m = RatMatrix.from_rows([[Fraction(1, 7), 1], [0, 1]])
-    with pytest.raises(BadPrimeError):
-        rank_modular(m, 7)
+def test_rat_matrix_rejects_an_entry_that_is_not_an_int():
+    for entry in (Fraction(1, 7), Fraction(7), True, 1.0):
+        with pytest.raises(TypeError):
+            RatMatrix.from_rows([[entry, 1], [0, 1]])
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, (1, entry))
 
 
 def test_parse_and_format_rational():
     assert parse_rational("16/7") == Fraction(16, 7)
     assert parse_rational("-3") == -3
+    with pytest.raises(TypeError):
+        parse_rational(True)
     assert format_rational(Fraction(16, 7)) == "16/7"
     assert format_rational(Fraction(4, 2)) == "2"
 
@@ -93,7 +96,7 @@ def test_random_matrices_against_oracle(seed):
         cols = rng.randint(1, 6)
         data = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for _ in range(cols)] for _ in range(rows)]
-        m = RatMatrix.from_rows(data)
+        m = int_matrix(data)
         r = rank_exact(m)
         assert r == gauss_rank(data)
         assert r == rank_exact(transpose(m))
@@ -103,9 +106,9 @@ def test_random_matrices_against_oracle(seed):
         assert len(basis) == cols - r
         for v in basis:
             assert all(x == 0 for x in mul_vector(m, v))
-            ints = [int(x) for x in v]
-            assert all(Fraction(i) == x for i, x in zip(ints, v))
-            lead = next(x for x in ints if x)
+            assert not any(sum(a * x for a, x in zip(row, v)) for row in data)
+            assert all(type(x) is int for x in v)
+            lead = next(x for x in v if x)
             assert lead > 0
 
 
@@ -234,6 +237,9 @@ def test_modular_nullspace_full_rank_and_empty():
     assert _nullspace_modular(RatMatrix(2, 0, []), PRIMES) == []
 
 
-def test_modular_nullspace_skips_a_prime_dividing_a_denominator():
-    m = RatMatrix.from_rows([[Fraction(1, 7), 1], [Fraction(2, 7), 2]])
+def test_modular_nullspace_of_a_matrix_with_cleared_denominators():
+    # rows (1/7, 1) and (2/7, 2) scale to (1, 7); mod 7 its kernel residue
+    # (0, 1) is right, and the CRT with PRIMES[0] lifts (-7, 1)
+    m = int_matrix([[Fraction(1, 7), 1], [Fraction(2, 7), 2]])
+    assert m == RatMatrix.from_rows([[1, 7], [1, 7]])
     assert _nullspace_modular(m, (7, PRIMES[0])) == _nullspace_exact(m) == [[7, -1]]
