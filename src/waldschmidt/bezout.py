@@ -65,7 +65,8 @@ def build_system(points, curves, labels=None, attested=()):
     not all zero.  A conic's are its symmetric matrix times the point, and
     that matrix is nonsingular exactly when the conic is irreducible, so it
     sends no point to zero.  mult_at is run only on the attested curves of
-    degree >= 3.
+    degree >= 3.  With no curve through any point every right-hand side is
+    0 and the system bounds nothing, so it is rejected with a ValueError.
     """
     seen = set()
     for idx, curve in enumerate(curves):
@@ -81,6 +82,8 @@ def build_system(points, curves, labels=None, attested=()):
     degs = [c.degree for c in curves]
     mrows = [[int(contains(c, p)) for p in points] if c.degree <= 2
              else [mult_at(c, p) for p in points] for c in curves]
+    if not any(map(any, mrows)):
+        raise ValueError("no curve passes through any of the points")
     cons = [Constraint("degree", 1, [-d for d in degs], 0)]
     for j, row in enumerate(mrows):
         coeffs = [sum(a * b for a, b in zip(row, other)) - degs[j] * degs[l]

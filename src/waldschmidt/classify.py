@@ -2,8 +2,9 @@
 
 Each table matcher returns a `Row` (a list of candidate rows for one family)
 naming the auxiliary curves of its LP and the divisor of its upper bound, or
-None when its family does not apply.  `_certify` is the only place where rows
-meet the LP and the divisor check.
+None when its family does not apply.  Unmatched inputs get the `_fallback` row,
+whose upper bound is a sweep.  `_certify` is the only place where rows meet
+the LP and the upper-bound check.
 """
 
 from fractions import Fraction
@@ -134,7 +135,8 @@ class Row:
 
     value is the table constant when exact, else the table floor (None when
     the table states none).  subset restricts the LP to some of the points;
-    the divisor of multiplicity m always covers all of them.
+    the divisor of multiplicity m always covers all of them.  A row with no
+    divisor takes its upper bound from a sweep.
     """
 
     def __init__(self, rule, value, curves, labels, divisor, m, exact=True,
@@ -159,35 +161,43 @@ def _lp_lower(points, curves, labels, attested=(), subset=None):
     return solve_min_ratio(system)
 
 
-def _certify(points, rows):
+def _certify(points, rows, m_max):
     """Certify a row, or the candidate row with the highest LP bound.
 
-    The verdict is exact only when the LP bound and the divisor ratio both
-    equal the table value; otherwise the two certificates bracket it.
+    The upper bound is the row's divisor, or without one the least ratio of a
+    sweep to m_max hinted by the LP bound.  A table row's verdict is exact
+    only when the LP bound and the upper bound both equal the table value;
+    a row with no value is exact when its two bounds meet.  Otherwise the two
+    certificates bracket it.
     """
     if isinstance(rows, Row):
         rows = [rows]
     cert, row = max(((_lp_lower(points, r.curves, r.labels, r.attested, r.subset), r)
                      for r in rows),
                     key=lambda pair: pair[0].bound)
-    divisor = FormalDivisor(row.divisor, row.m)
-    ratio = verify_upper(divisor, FatPointScheme.uniform(points, row.m))
-    if cert.bound > ratio:
+    if row.divisor is None:
+        trace = Engine().sweep(points, m_max, lower_hint=cert.bound)
+        upper = min(e.ratio for e in trace)
+        certificates = {"lower": cert, "sweep": trace}
+    else:
+        divisor = FormalDivisor(row.divisor, row.m)
+        upper = verify_upper(divisor, FatPointScheme.uniform(points, row.m))
+        certificates = {"lower": cert, "upper": (upper, divisor)}
+    if cert.bound > upper:
         raise InconsistencyError("lower %s exceeds upper %s"
-                                 % (format_rational(cert.bound), format_rational(ratio)))
+                                 % (format_rational(cert.bound), format_rational(upper)))
     notes = list(row.notes)
     exact = None
-    if row.exact and cert.bound == ratio == row.value:
-        exact = row.value
-    elif row.exact:
+    if row.exact and cert.bound == upper and (row.value is None or row.value == upper):
+        exact = upper
+    elif row.exact and row.value is not None:
         notes.append("certificates bracket [%s, %s] instead of the table value %s"
-                     % (format_rational(cert.bound), format_rational(ratio),
+                     % (format_rational(cert.bound), format_rational(upper),
                         format_rational(row.value)))
     elif row.value is not None and cert.bound != row.value:
         notes.append("certified LP bound %s differs from the table floor %s"
                      % (format_rational(cert.bound), format_rational(row.value)))
-    return ClassificationResult(row.rule, exact, cert.bound, ratio,
-                                {"lower": cert, "upper": (ratio, divisor)}, notes)
+    return ClassificationResult(row.rule, exact, cert.bound, upper, certificates, notes)
 
 
 def classify(points, m_max=2):
@@ -210,12 +220,12 @@ def classify(points, m_max=2):
         try:
             rows = matcher(points, prof)
             if rows:
-                res = _certify(points, rows)
+                res = _certify(points, rows, m_max)
                 break
         except (GeometryError, UnverifiedCurveError) as exc:
             rejected.append("%s rejected: %s" % (matcher.__name__.lstrip("_"), exc))
     else:
-        res = _fallback(points, prof, m_max)
+        res = _certify(points, _fallback(prof), m_max)
     res.notes += rejected
     return res
 
@@ -624,11 +634,14 @@ MATCHERS = [_table_collinear, _table_conic_external, _cubic9, _nine_seven_two,
 
 # ------------------------------------------------------------------------ fallback
 
-def _auto_aux(prof):
-    """Up to AUX_CAP curves: the lines by point count, then the conics.
+def _fallback(prof):
+    """The row for unmatched inputs: up to AUX_CAP curves, the lines by point
+    count, then the conics, and no divisor, so `_certify` sweeps for the upper
+    bound.
 
     The conics are those through six or more points when there are any, else
-    every irreducible conic through five; ties keep the profile's order.
+    every irreducible conic through five; ties keep the profile's order.  Two
+    distinct points span a line, so the curve list is never empty.
     """
     lines = sorted(prof.lines, key=lambda ln: -len(prof.lines[ln]))
     conics = ([c for _, c in prof.conic_subsets]
@@ -636,34 +649,5 @@ def _auto_aux(prof):
     curves = (lines + conics)[:AUX_CAP]
     labels = ["%s %d" % ("line" if c.degree == 1 else "conic", i + 1)
               for i, c in enumerate(curves)]
-    return curves, labels
-
-
-def _fallback(points, prof, m_max):
-    curves, labels = _auto_aux(prof)
-    if not curves:
-        raise GeometryError("no auxiliary curves available")
-    cert = _lp_lower(points, curves, labels)
-    return conclude([cert], Engine().sweep(points, m_max, lower_hint=cert.bound))
-
-
-def conclude(lower_certificates, trace):
-    """Fallback verdict: the best LP bound against the least sweep ratio.
-
-    lower_certificates: verified LowerBoundCertificate objects.
-    trace: sweep entries; each ratio alpha(mX)/m is itself a certified upper
-    bound, so a lower bound above the least of them signals a bug and raises.
-    """
-    if not lower_certificates:
-        raise ValueError("need at least one lower certificate")
-    if not trace:
-        raise ValueError("need at least one upper bound")
-    cert = max(lower_certificates, key=lambda c: c.bound)
-    upper = min(e.ratio for e in trace)
-    if cert.bound > upper:
-        raise InconsistencyError("lower %s exceeds upper %s"
-                                 % (format_rational(cert.bound), format_rational(upper)))
-    return ClassificationResult(
-        "fallback/bounds", cert.bound if cert.bound == upper else None, cert.bound,
-        upper, {"lower": cert, "sweep": trace},
-        ["no decision-table row matched; generated-curve bounds"])
+    return Row("fallback/bounds", None, curves, labels, None, None,
+               notes=["no decision-table row matched; generated-curve bounds"])

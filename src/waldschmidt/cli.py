@@ -226,12 +226,18 @@ def cmd_fixture(name, cfg):
     return EXIT_OK
 
 
+def _verdict(res):
+    return ("exact %s" % format_rational(res.exact) if res.exact is not None
+            else "[%s, %s]" % (format_rational(res.lower), format_rational(res.upper)))
+
+
 def check_points(points, cfg, expected=None):
     """Classify, then re-derive both sides independently; returns problem list.
 
-    Each alpha(mX) is searched from its certified floor, which alpha checks
-    one degree below; so a lower bound that is too high shows up as an alpha
-    below the floor.
+    The sweep to the depth takes the certified lower bound as its hint.  Each
+    hinted floor is checked one degree below before it is used, and a product
+    entry is proven least by a rank, so every entry is exact; a lower bound
+    that is too high shows up as an alpha below its floor.
     """
     problems = []
     res = classify(points, m_max=min(cfg.m_max, 2))
@@ -262,24 +268,20 @@ def check_points(points, cfg, expected=None):
         if res.lower > res.upper:
             problems.append("inverted interval")
         depth = min(cfg.m_max, 2)
-    for m in range(1, depth + 1):
-        floor = degree_floor(res.lower, m)
-        found = alpha(FatPointScheme.uniform(points, m), min_degree=floor).alpha
-        if found < floor:
+    trace = Engine().sweep(points, depth, lower_hint=res.lower)
+    for e in trace:
+        floor = degree_floor(res.lower, e.m)
+        if e.alpha < floor:
             problems.append("alpha(%dX) = %d is below the certified floor %d"
-                            % (m, found, floor))
-        if m == depth and res.exact is not None and found != res.exact * m:
-            problems.append("alpha(%dX) = %d does not attain %s"
-                            % (m, found, format_rational(res.exact)))
+                            % (e.m, e.alpha, floor))
+    if res.exact is not None and trace[-1].ratio != res.exact:
+        problems.append("alpha(%dX) = %d does not attain %s"
+                        % (depth, trace[-1].alpha, format_rational(res.exact)))
     if expected is not None:
         if expected.kind == "exact":
             if res.exact != expected.value:
                 problems.append("expected exact %s, classified %s"
-                                % (format_rational(expected.value),
-                                   "exact %s" % format_rational(res.exact)
-                                   if res.exact is not None else
-                                   "[%s, %s]" % (format_rational(res.lower),
-                                                 format_rational(res.upper))))
+                                % (format_rational(expected.value), _verdict(res)))
         else:
             if res.exact is not None:
                 problems.append("expected a bracket, classified exact %s"
@@ -292,31 +294,19 @@ def check_points(points, cfg, expected=None):
 
 
 def cmd_check(path, fixture_name, all_fixtures, cfg):
-    jobs = []
-    if all_fixtures:
-        jobs = [(name, fixture(name)) for name in fixture_names()]
-    elif fixture_name:
-        jobs = [(fixture_name, fixture(fixture_name))]
+    if all_fixtures or fixture_name:
+        specs = [fixture(n) for n in (fixture_names() if all_fixtures else [fixture_name])]
+        jobs = [(fx.name, fx.points, fx.expected) for fx in specs]
     else:
-        scheme = _parse_points(_load_json(path))
-        jobs = [(path, None)]
-        points = list(scheme.points)
+        jobs = [(path, list(_parse_points(_load_json(path)).points), None)]
     failures = 0
-    for label, fx in jobs:
-        if fx is not None:
-            points = fx.points
-            expected = fx.expected
-        else:
-            expected = None
+    for label, points, expected in jobs:
         res, problems = check_points(points, cfg, expected=expected)
-        verdict = ("exact %s" % format_rational(res.exact) if res.exact is not None
-                   else "[%s, %s]" % (format_rational(res.lower),
-                                      format_rational(res.upper)))
         if problems:
             failures += 1
             print("FAIL %-20s %-46s %s" % (label, res.family, "; ".join(problems)))
         else:
-            print("ok   %-20s %-46s %s" % (label, res.family, verdict))
+            print("ok   %-20s %-46s %s" % (label, res.family, _verdict(res)))
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 

@@ -1,10 +1,11 @@
 """Deterministic rational-coordinate instances of the supported configurations."""
 
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations
 
-from .geometry import (PlaneCurve, ProjPoint, chords_through, contains,
-                       is_smooth_cubic, q_collinear_set)
+from .geometry import PlaneCurve, ProjPoint, contains, is_smooth_cubic, line_through
 
 
 class FixtureError(RuntimeError):
@@ -70,7 +71,8 @@ def conic_chord(s, t):
 def _line(params, sides):
     """Points (a:b:0) on STANDARD_LINE, then the triangle; `sides` of them are on its sides."""
     pts = [ProjPoint(a, b, 0) for a, b in params]
-    found = len(q_collinear_set(pts, _TRIANGLE))
+    edges = [line_through(q, r) for q, r in combinations(_TRIANGLE, 2)]
+    found = sum(any(contains(e, p) for e in edges) for p in pts)
     if found != sides:
         raise FixtureError("expected %d side points, found %d" % (sides, found))
     return pts + list(_TRIANGLE)
@@ -91,7 +93,8 @@ def _conic(ts, extra=(), line=None, chords=None, shared=None):
             raise FixtureError("%r is off the carrier line" % (q,))
         if chords is not None:
             # a repeated conic point is reported by fixture(), not as a chord
-            found = len(chords_through(q, list(dict.fromkeys(pts))))
+            on = Counter(line_through(q, p) for p in dict.fromkeys(pts))
+            found = sum(k >= 2 for k in on.values())
             if found != chords:
                 raise FixtureError("expected concurrency %d, found %d" % (chords, found))
     if shared is not None and sum(contains(line, p) for p in pts) != shared:

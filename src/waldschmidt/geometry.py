@@ -29,10 +29,6 @@ class WrongDegreeError(GeometryError):
     pass
 
 
-class CollinearVerticesError(GeometryError):
-    pass
-
-
 @lru_cache(maxsize=None)
 def monomials(d):
     """Exponent triples of degree d, graded-lex with x0 > x1 > x2."""
@@ -355,8 +351,8 @@ class IncidenceProfile:
     def chords(self, i, among):
         """(line, members) for each line through point i and two or more of the
         indices among; members keep the order of among, and lines come in the
-        order of their first member, as in chords_through.  The profile's lines
-        through i split the other points, so these are read from self.lines."""
+        order of their first member.  The profile's lines through i split the
+        other points, so these are read from self.lines."""
         if i in among:
             raise GeometryError("point %d must not be one of among" % i)
         through_i = [(ln, members) for ln, members in self.lines.items() if i in members]
@@ -402,35 +398,6 @@ def irreducible_conics(points, collinear_groups):
         members = tuple(k for k, v in enumerate(values) if not sum(map(mul, coeffs, v)))
         spanned.append(set(members))
         yield members, conic
-
-
-def chords_through(q, pts):
-    """(line, members) for each line through q and two or more of pts.
-
-    Members keep the order of pts; lines come in the order of their first member.
-    """
-    if q in pts:
-        raise GeometryError("q must not be one of the points")
-    chords = {}
-    for i, j in combinations(range(len(pts)), 2):
-        ln = line_through(pts[i], pts[j])
-        if contains(ln, q):
-            chords.setdefault(ln, set()).update((i, j))
-    # two chords meet only at q, so first-pair order is first-member order
-    return [(ln, [pts[k] for k in sorted(members)]) for ln, members in chords.items()]
-
-
-def q_collinear_set(ps, qs):
-    """Points of ps on the sides of the triangle qs, vertices excluded."""
-    if len(qs) != 3:
-        raise GeometryError("need exactly three triangle vertices")
-    q1, q2, q3 = qs
-    if contains(line_through(q1, q2), q3):
-        raise CollinearVerticesError("triangle vertices are collinear")
-    if set(ps) & set(qs):
-        raise GeometryError("ps must be disjoint from the vertices")
-    sides = [line_through(q2, q3), line_through(q1, q3), line_through(q1, q2)]
-    return [p for p in ps if any(contains(s, p) for s in sides)]
 
 
 def cubic_with_double_point(simple, dbl):

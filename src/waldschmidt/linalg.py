@@ -107,10 +107,13 @@ def primitive(values):
     """Coprime integers proportional to a rational vector, first nonzero entry positive.
 
     Integer entries are used as they are; otherwise every entry is read as a
-    Fraction and the vector is scaled by the common denominator.  The zero
+    Fraction and the vector is scaled by the common denominator.  A bool is
+    an int to Python but no number here, so it raises TypeError.  The zero
     vector comes back unchanged.
     """
-    if not all(isinstance(v, int) for v in values):
+    if not all(type(v) is int for v in values):
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError("a bool is not a rational entry")
         values = [Fraction(v) for v in values]
         den = lcm(*(v.denominator for v in values))
         values = [v.numerator * (den // v.denominator) for v in values]

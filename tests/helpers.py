@@ -7,10 +7,10 @@ from math import comb, perm
 
 from waldschmidt.bezout import LPInternalError
 from waldschmidt.fixtures import conic_point, fixture, fixture_names
-from waldschmidt.geometry import (NonUniqueConicError, PlaneCurve, ProjPoint, _partial_row,
-                                  _product, conic_through, evaluation_row,
-                                  is_irreducible_conic, line_through, monomial_count,
-                                  monomials, transform_point)
+from waldschmidt.geometry import (GeometryError, NonUniqueConicError, PlaneCurve, ProjPoint,
+                                  _partial_row, _product, conic_through, contains,
+                                  evaluation_row, is_irreducible_conic, line_through,
+                                  monomial_count, monomials, transform_point)
 from waldschmidt.linalg import RatMatrix, nullspace, primitive
 
 
@@ -338,6 +338,35 @@ def conics_by_subsets(points, collinear_groups):
         seen.add(conic)
         out.append((tuple(k for k, p in enumerate(points) if conic.evaluate(p) == 0), conic))
     return out
+
+
+def chords_through(q, pts):
+    """(line, members) for each line through q and two or more of pts.
+
+    Members keep the order of pts; lines come in the order of their first member.
+    """
+    if q in pts:
+        raise GeometryError("q must not be one of the points")
+    chords = {}
+    for i, j in combinations(range(len(pts)), 2):
+        ln = line_through(pts[i], pts[j])
+        if contains(ln, q):
+            chords.setdefault(ln, set()).update((i, j))
+    # two chords meet only at q, so first-pair order is first-member order
+    return [(ln, [pts[k] for k in sorted(members)]) for ln, members in chords.items()]
+
+
+def q_collinear_set(ps, qs):
+    """Points of ps on the sides of the triangle qs, vertices excluded."""
+    if len(qs) != 3:
+        raise GeometryError("need exactly three triangle vertices")
+    q1, q2, q3 = qs
+    if contains(line_through(q1, q2), q3):
+        raise GeometryError("triangle vertices are collinear")
+    if set(ps) & set(qs):
+        raise GeometryError("ps must be disjoint from the vertices")
+    sides = [line_through(q2, q3), line_through(q1, q3), line_through(q1, q2)]
+    return [p for p in ps if any(contains(s, p) for s in sides)]
 
 
 def fixture_images(seed, rounds):

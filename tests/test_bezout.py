@@ -54,6 +54,13 @@ def test_build_system_single_point_single_line():
     assert cert.bound == 1
 
 
+def test_build_system_rejects_curves_through_no_point():
+    scheme, sides, carrier = scheme_and_sides("L4Q3-D")
+    for curves in ([], [PlaneCurve(1, [1, 1, 1])]):
+        with pytest.raises(ValueError, match="no curve passes through any of the points"):
+            build_system(scheme.points, curves)
+
+
 def test_build_system_rejects_unverified_conic():
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
     degenerate = PlaneCurve(2, [0, 1, 0, 0, 0, 0])  # x0*x1, a line pair

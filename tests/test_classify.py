@@ -1,13 +1,15 @@
 import importlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import transform_points, unimodular
 from waldschmidt.bezout import LowerBoundCertificate, verify_certificate
-from waldschmidt.classify import InconsistencyError, classify, conclude
-from waldschmidt.engine import sweep, verify_upper
+from waldschmidt.classify import InconsistencyError, classify
+from waldschmidt.engine import verify_upper
 from waldschmidt.fatpoints import FatPointScheme
 from waldschmidt.fixtures import fixture, fixture_names
 from waldschmidt.geometry import DuplicatePointError, NonUniqueConicError, ProjPoint
@@ -80,6 +82,20 @@ def test_exact_verdicts_carry_matching_certificates(name):
         assert again == res.exact
 
 
+def test_verdicts_match_snapshot():
+    # every fixture's classify JSON, and CONIC5's fallback swept to m = 8,
+    # byte for byte as first recorded
+    snap = json.loads((Path(__file__).parent / "classify_snapshot.json").read_text())
+    assert list(snap["fixtures"]) == fixture_names()
+    for name in fixture_names():
+        got = classify(fixture(name).points).to_json()
+        assert json.dumps(got, sort_keys=True) == json.dumps(snap["fixtures"][name],
+                                                             sort_keys=True)
+    got = classify(fixture("CONIC5").points, m_max=8).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(snap["CONIC5 m_max=8"],
+                                                         sort_keys=True)
+
+
 def test_nine_collinear_points():
     pts = [ProjPoint(1, a, 0) for a in range(9)]
     res = classify(pts)
@@ -119,29 +135,38 @@ def test_fallback_on_small_generic_set():
     assert res.lower <= res.upper
 
 
-def test_conclude_exact_and_interval():
+def _fallback_with_bound(monkeypatch, bound):
+    """classify(L4Q3-D) through the fallback row alone, its LP replaced by a
+    certificate of the golden line7/no-side-point system claiming bound."""
     g = GOLDEN["line7/no-side-point"]
-    cert = LowerBoundCertificate(g.bound, g.duals, g.system)
-    trace = sweep(fixture("L4Q3-D").points, 2, lower_hint=g.bound)
-    res = conclude([cert], trace)
+    # the package re-exports the classify function under the module's name
+    module = importlib.import_module("waldschmidt.classify")
+    monkeypatch.setattr(module, "MATCHERS", [])
+    monkeypatch.setattr(module, "_lp_lower", lambda *args, **kwargs:
+                        LowerBoundCertificate(bound, g.duals, g.system))
+    return classify(fixture("L4Q3-D").points)
+
+
+# the verdict the removed conclude() built, now the fallback row's through _certify
+def test_conclude_exact_and_interval(monkeypatch):
+    res = _fallback_with_bound(monkeypatch, F(5, 2))
+    assert res.family == "fallback/bounds"
     assert res.exact == F(5, 2)
     assert res.lower == res.upper == F(5, 2)
     blob = res.to_json()
     assert blob["value"] == {"exact": "5/2"}
     assert blob["certificates"]["sweep"][1] == [2, "5", "5/2", "search"]
 
-    weaker = LowerBoundCertificate(F(2), g.duals, g.system)
-    res2 = conclude([weaker], trace)
+    res2 = _fallback_with_bound(monkeypatch, F(2))
     assert res2.exact is None
     assert (res2.lower, res2.upper) == (F(2), F(5, 2))
     assert res2.to_json()["value"] == {"lower": "2", "upper": "5/2"}
+    assert res2.notes == ["no decision-table row matched; generated-curve bounds"]
 
 
-def test_conclude_rejects_inverted_bracket():
-    g = GOLDEN["line7/no-side-point"]
-    lying = LowerBoundCertificate(F(4), g.duals, g.system)
+def test_conclude_rejects_inverted_bracket(monkeypatch):
     with pytest.raises(InconsistencyError):
-        conclude([lying], sweep(fixture("L4Q3-D").points, 2))
+        _fallback_with_bound(monkeypatch, F(4))
 
 
 def test_rejected_row_is_named_in_notes(monkeypatch):

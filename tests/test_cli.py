@@ -279,6 +279,17 @@ def test_a_bool_rational_is_an_input_error(tmp_path, capsys, runner):
     assert out.startswith("input error:")
 
 
+# with no curve through any point every right-hand side is 0, the simplex
+# stopped at y = 0 and lower printed the audit's LPInternalError traceback
+@pytest.mark.parametrize("specs", [[], [{"type": "explicit", "degree": 1,
+                                         "coeffs": ["1", "1", "1"]}]],
+                         ids=["no-curve", "line-missing-every-point"])
+def test_lower_rejects_aux_through_no_point(tmp_path, capsys, specs):
+    code, out = run_with_aux(tmp_path, capsys, specs)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert out.startswith("input error: bad aux specs: no curve passes through")
+
+
 def test_lower_and_upper_accept_valid_indices(tmp_path, capsys):
     code, out = run_with_aux(tmp_path, capsys,
                              [{"type": "line", "through": ij} for ij in SIDES_AND_CARRIER])

@@ -3,13 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from helpers import chords_through, q_collinear_set
 from waldschmidt import fixtures
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, STANDARD_LINE, FixtureError,
                                   UnknownFixtureError, conic_chord, conic_point, fixture,
                                   fixture_names)
-from waldschmidt.geometry import (ProjPoint, chords_through, conic_through, contains,
-                                  is_irreducible_conic, is_smooth_cubic,
-                                  line_through, q_collinear_set)
+from waldschmidt.geometry import (ProjPoint, conic_through, contains, is_irreducible_conic,
+                                  is_smooth_cubic, line_through)
 
 REQUIRED = [
     "L4Q3-A", "L4Q3-B", "L4Q3-C", "L4Q3-D", "L5Q3-3QC", "L5Q3-Y", "L6Q3-Z",

@@ -1,25 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import (SPECIAL_KINDS, conic_by_kernel, conics_by_subsets,
+from helpers import (SPECIAL_KINDS, chords_through, conic_by_kernel, conics_by_subsets,
                      cubic_with_double_point_by_betas, fixture_images, gauss_rank,
                      mult_by_partials, partial_vector_by_position, profile_by_pairs,
-                     random_point, special_configuration, transform_curve,
-                     transform_points, unimodular)
+                     q_collinear_set, random_point, special_configuration,
+                     transform_curve, transform_points, unimodular)
 from test_soundness import KINDS, soundness_configuration
 from waldschmidt import geometry
 from waldschmidt.fixtures import (CUBIC9_CURVE, STANDARD_CONIC, conic_point, fixture,
                                   fixture_names)
-from waldschmidt.geometry import (CollinearVerticesError, IdenticalPointsError,
+from waldschmidt.geometry import (GeometryError, IdenticalPointsError,
                                   NonUniqueConicError, PlaneCurve, ProjPoint,
-                                  WrongDegreeError, _partial_vector, chords_through,
-                                  conic_through, contains,
-                                  cubic_with_double_point, evaluation_row,
+                                  WrongDegreeError, _partial_vector, conic_through,
+                                  contains, cubic_with_double_point, evaluation_row,
                                   incidence_profile, is_irreducible_conic,
                                   is_smooth_cubic, line_through, monomial_count,
-                                  monomials, mult_at, q_collinear_set,
-                                  transform_point)
+                                  monomials, mult_at, transform_point)
 from waldschmidt.linalg import RatMatrix, nullspace
 
 
@@ -127,6 +126,16 @@ def test_curve_rejects_a_degree_that_is_not_an_int(degree):
         PlaneCurve(degree, [1, 0, 0])
     with pytest.raises(TypeError):
         PlaneCurve.parse({"degree": degree, "coeffs": ["1", "0", "0"]})
+
+
+# a bool was once stored as it came: ProjPoint(True, 0, 1) wrote 'True' to JSON
+@pytest.mark.parametrize("build", [lambda: ProjPoint(True, 0, 1),
+                                   lambda: ProjPoint(Fraction(1, 2), False, 1),
+                                   lambda: PlaneCurve(1, [True, 0, 0])],
+                         ids=["point", "point-with-fraction", "curve"])
+def test_a_bool_coordinate_or_coefficient_is_rejected(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_mult_at_basics():
@@ -288,7 +297,7 @@ def test_q_collinear_set_families():
 
 def test_q_collinear_set_collinear_vertices_raises():
     qs = (ProjPoint(0, 0, 1), ProjPoint(0, 1, 1), ProjPoint(0, 2, 1))
-    with pytest.raises(CollinearVerticesError):
+    with pytest.raises(GeometryError):
         q_collinear_set([ProjPoint(1, 0, 0)], qs)
 
 
