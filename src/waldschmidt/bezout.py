@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
-from .geometry import contains, is_irreducible_conic, mult_at
+from .geometry import contains, is_irreducible_conic, is_smooth_cubic
 from .linalg import format_rational, parse_rational, require_int
 
 
@@ -48,25 +48,25 @@ class BezoutSystem:
         return len(self.var_names)
 
 
-def build_system(points, curves, labels=None, attested=()):
-    """Bezout inequality system for the points at multiplicity 1 and verified curves.
+def build_system(points, curves, labels=None):
+    """Bezout inequality system for the points at multiplicity 1 and admitted curves.
 
-    Repeated curves are rejected first, then unverified ones: lines are
-    verified, conics iff irreducible, cubics and beyond only when their index
-    is in attested.  One degree constraint t - sum(d_j a_j) >= 0 plus, for
-    every curve j, d_j*t + sum_l(sum_i m_ij m_il - d_j d_l) a_l >= sum_i m_ij,
-    with m_ij the multiplicity of curve j at point i.  Relaxing the
-    decomposition integers to nonnegative rationals only enlarges the feasible
-    set, so the minimum stays a valid lower bound.
+    Repeated curves are rejected first, then any curve that is not a line,
+    an irreducible conic or a smooth cubic (a smooth cubic is irreducible).
+    One degree constraint t - sum(d_j a_j) >= 0 plus, for every curve j,
+    d_j*t + sum_l(sum_i m_ij m_il - d_j d_l) a_l >= sum_i m_ij, with m_ij the
+    multiplicity of curve j at point i.  Relaxing the decomposition integers
+    to nonnegative rationals only enlarges the feasible set, so the minimum
+    stays a valid lower bound.
 
-    Lines and irreducible conics are smooth, so m_ij is 1 where the curve
-    vanishes and 0 elsewhere.  A point of multiplicity >= 2 is a common zero
-    of the three first partials.  A line's partials are its coefficients,
-    not all zero.  A conic's are its symmetric matrix times the point, and
-    that matrix is nonsingular exactly when the conic is irreducible, so it
-    sends no point to zero.  mult_at is run only on the attested curves of
-    degree >= 3.  With no curve through any point every right-hand side is
-    0 and the system bounds nothing, so it is rejected with a ValueError.
+    Every admitted curve is smooth, so m_ij is 1 where the curve vanishes
+    and 0 elsewhere.  A point of multiplicity >= 2 is a common zero of the
+    three first partials.  A line's partials are its coefficients, not all
+    zero.  A conic's are its symmetric matrix times the point, and that
+    matrix is nonsingular exactly when the conic is irreducible, so it sends
+    no point to zero.  A smooth cubic's partials share no zero by
+    definition.  With no curve through any point every right-hand side is 0
+    and the system bounds nothing, so it is rejected with a ValueError.
     """
     seen = set()
     for idx, curve in enumerate(curves):
@@ -74,14 +74,13 @@ def build_system(points, curves, labels=None, attested=()):
             raise ProportionalCurvesError("curve %d repeats an earlier curve" % idx)
         seen.add(curve)
     labels = labels or ["curve %d" % (idx + 1) for idx in range(len(curves))]
-    for idx, curve in enumerate(curves):
-        if not (curve.degree == 1
-                or (curve.degree == 2 and is_irreducible_conic(curve))
-                or (curve.degree > 2 and idx in attested)):
-            raise UnverifiedCurveError("curve %r lacks verification" % labels[idx])
+    for idx, c in enumerate(curves):
+        if not (c.degree == 1 or (c.degree == 2 and is_irreducible_conic(c))
+                or (c.degree == 3 and is_smooth_cubic(c))):
+            raise UnverifiedCurveError("curve %r is not a line, an irreducible conic "
+                                       "or a smooth cubic" % labels[idx])
     degs = [c.degree for c in curves]
-    mrows = [[int(contains(c, p)) for p in points] if c.degree <= 2
-             else [mult_at(c, p) for p in points] for c in curves]
+    mrows = [[int(contains(c, p)) for p in points] for c in curves]
     if not any(map(any, mrows)):
         raise ValueError("no curve passes through any of the points")
     cons = [Constraint("degree", 1, [-d for d in degs], 0)]

@@ -140,7 +140,7 @@ class Row:
     """
 
     def __init__(self, rule, value, curves, labels, divisor, m, exact=True,
-                 subset=None, attested=(), notes=()):
+                 subset=None, notes=()):
         self.rule = rule
         self.value = value
         self.exact = exact
@@ -149,13 +149,12 @@ class Row:
         self.divisor = divisor
         self.m = m
         self.subset = subset
-        self.attested = attested
         self.notes = list(notes)
 
 
-def _lp_lower(points, curves, labels, attested=(), subset=None):
+def _lp_lower(points, curves, labels, subset=None):
     """LP bound over all the points, or over subset when one is given."""
-    system = build_system(subset or points, curves, labels, attested)
+    system = build_system(subset or points, curves, labels)
     if subset and len(subset) < len(points):
         system.note = SUBSET_NOTES[len(subset)]
     return solve_min_ratio(system)
@@ -172,7 +171,7 @@ def _certify(points, rows, m_max):
     """
     if isinstance(rows, Row):
         rows = [rows]
-    cert, row = max(((_lp_lower(points, r.curves, r.labels, r.attested, r.subset), r)
+    cert, row = max(((_lp_lower(points, r.curves, r.labels, r.subset), r)
                      for r in rows),
                     key=lambda pair: pair[0].bound)
     if row.divisor is None:
@@ -453,8 +452,7 @@ def _cubic9(points, prof):
     cubic = PlaneCurve(3, cubics[0])
     if not is_smooth_cubic(cubic):
         return None
-    return Row("cubic9/smooth", Fraction(3), [cubic], ["cubic"], [(cubic, 1)], 1,
-               attested=(0,))
+    return Row("cubic9/smooth", Fraction(3), [cubic], ["cubic"], [(cubic, 1)], 1)
 
 
 def _nine_seven_two(points, prof):

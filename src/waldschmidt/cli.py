@@ -113,8 +113,8 @@ def cmd_lower(path, aux_path, cfg):
     if not isinstance(aux_spec, list):
         raise InputError("aux file must hold a list of curve specs")
     try:
-        curves, labels, attested = _parse_aux_spec(aux_spec, scheme.points)
-        system = build_system(scheme.points, curves, labels, attested)
+        curves, labels = _parse_aux_spec(aux_spec, scheme.points)
+        system = build_system(scheme.points, curves, labels)
     except (GeometryError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise InputError("bad aux specs: %s" % exc)
     cert = solve_min_ratio(system)
@@ -143,10 +143,10 @@ def _count(value, what, least):
 
 
 def _parse_aux_spec(spec_list, pts):
-    """(curves, labels, attested indices) from JSON specs over point indices."""
+    """(curves, labels) from JSON specs over point indices; build_system
+    then admits only the lines, irreducible conics and smooth cubics."""
     curves = []
     labels = []
-    attested = set()
     for idx, spec in enumerate(spec_list):
         if not isinstance(spec, dict):
             raise InputError("aux spec %d is not an object" % idx)
@@ -162,11 +162,9 @@ def _parse_aux_spec(spec_list, pts):
         elif kind == "explicit":
             curves.append(PlaneCurve.parse(spec))
             labels.append(spec.get("label", "explicit %d" % idx))
-            if spec.get("attest_irreducible"):
-                attested.add(idx)
         else:
             raise InputError("unknown aux curve type %r" % kind)
-    return curves, labels, attested
+    return curves, labels
 
 
 def _parse_divisor(obj, scheme, m_flag):
@@ -246,11 +244,12 @@ def check_points(points, cfg, expected=None):
         problems.append("lower certificate failed independent verification")
     if res.exact is not None:
         value = res.exact
-        # the divisor's multiplicity attains the value; a fallback's sweep
-        # attains it at its denominator
-        depth = value.denominator
+        # the divisor's multiplicity attains the value, or with no divisor the
+        # least m at which classify's sweep attains it
         upper = res.certificates.get("upper")
-        if upper is not None:
+        if upper is None:
+            depth = min(e.m for e in res.certificates["sweep"] if e.ratio == value)
+        else:
             _, divisor = upper
             depth = divisor.m
             try:

@@ -13,8 +13,8 @@ from waldschmidt.bezout import (BezoutSystem, Constraint, LowerBoundCertificate,
                                 verify_certificate)
 from waldschmidt.classify import classify
 from waldschmidt.fatpoints import FatPointScheme, alpha
-from waldschmidt.fixtures import fixture, fixture_names
-from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through, mult_at
+from waldschmidt.fixtures import CUBIC9_CURVE, STANDARD_CONIC, fixture, fixture_names
+from waldschmidt.geometry import PlaneCurve, ProjPoint, line_through, monomials, mult_at
 from golden import GOLDEN, golden_names
 
 F = Fraction
@@ -84,13 +84,43 @@ def test_repeated_curve_is_reported_before_an_unverified_one():
 def test_unverified_curve_is_rejected_before_any_multiplicity(monkeypatch):
     scheme, sides, carrier = scheme_and_sides("L4Q3-D")
 
-    def no_mult_at(curve, point):
-        raise AssertionError("mult_at called before the verification check")
+    def no_contains(curve, point):
+        raise AssertionError("contains called before the verification check")
 
-    monkeypatch.setattr(bezout, "mult_at", no_mult_at)
+    monkeypatch.setattr(bezout, "contains", no_contains)
     degenerate = PlaneCurve(2, [0, 1, 0, 0, 0, 0])
     with pytest.raises(UnverifiedCurveError):
         build_system(scheme.points, [carrier, degenerate])
+
+
+COLLINEAR4 = [ProjPoint(1, a, 0) for a in range(1, 5)]
+NODE_POINTS = [ProjPoint(0, 0, 1), ProjPoint(3, 6, 1), ProjPoint(8, 24, 1), ProjPoint(-1, 0, 1)]
+X0 = PlaneCurve(1, [1, 0, 0])
+
+
+# x0^2*x2 contains the carrier x2 of the four points, and once admitted it
+# lifted their LP bound to 4/3, above the value 1
+@pytest.mark.parametrize("label, points, curve", [
+    ("x0^2*x2", COLLINEAR4, PlaneCurve(3, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0])),
+    ("x0*(x0x2-x1^2)", NODE_POINTS[:1] + [ProjPoint(1, 1, 1), ProjPoint(0, 1, 1)],
+     X0.multiply(STANDARD_CONIC)),
+    ("x1^2x2-x0^3-x0^2x2", NODE_POINTS, PlaneCurve(3, [-1, 0, -1, 0, 0, 0, 0, 1, 0, 0])),
+    ("x0^3x2+x1^4", NODE_POINTS[:1], PlaneCurve(4, [1 if e in ((3, 0, 1), (0, 4, 0)) else 0
+                                                    for e in monomials(4)])),
+], ids=["reducible-cubic", "line-times-conic", "nodal-cubic", "irreducible-quartic"])
+def test_build_system_admits_no_reducible_singular_or_higher_curve(label, points, curve):
+    line = line_through(points[0], ProjPoint(1, 2, 3))
+    with pytest.raises(UnverifiedCurveError) as info:
+        build_system(points, [line, curve], ["line", label])
+    assert str(info.value) == ("curve %r is not a line, an irreducible conic "
+                               "or a smooth cubic" % label)
+
+
+def test_build_system_admits_the_smooth_cubic_of_cubic9():
+    points = fixture("CUBIC9").points
+    system = build_system(points, [CUBIC9_CURVE], ["cubic"])
+    assert system.constraints[1].rhs == 9
+    assert solve_min_ratio(system).bound == 3
 
 
 @pytest.mark.parametrize("name", golden_names())
@@ -254,8 +284,8 @@ def test_system_multiplicities_equal_mult_at_on_classify_lps(monkeypatch):
     # gives lines and conics the multiplicities mult_at finds
     calls = []
 
-    def record(points, curves, labels=None, attested=()):
-        system = build_system(points, curves, labels, attested)
+    def record(points, curves, labels=None):
+        system = build_system(points, curves, labels)
         calls.append((points, curves, system))
         return system
 

@@ -5,7 +5,7 @@ import pytest
 
 from waldschmidt import cli
 from waldschmidt.classify import ClassificationResult
-from waldschmidt.fixtures import fixture
+from waldschmidt.fixtures import CUBIC9_CURVE, fixture
 from waldschmidt.geometry import line_through
 from golden import GOLDEN
 
@@ -118,6 +118,29 @@ def test_lower_rejects_unverifiable_cubic(tmp_path, capsys):
     ]))
     code, out = run(capsys, ["lower", path, str(aux)])
     assert code == cli.EXIT_INPUT_ERROR or "unverif" in out.lower()
+
+
+# x0^2*x2 is reducible, so the LP rejects it and ignores the old
+# "attest_irreducible" key, which once admitted it with bound 4/3 above the value 1
+def test_lower_rejects_a_reducible_cubic_on_collinear_points(tmp_path, capsys):
+    path = write_points(tmp_path, "collinear4", [[1, a, 0] for a in range(1, 5)])
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps([
+        {"type": "explicit", "degree": 3, "coeffs": ["0", "0", "1"] + ["0"] * 7,
+         "attest_irreducible": True},
+    ]))
+    code, out = run(capsys, ["lower", path, str(aux)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "is not a line, an irreducible conic or a smooth cubic" in out
+
+
+def test_lower_admits_the_smooth_cubic_of_cubic9(tmp_path, capsys):
+    path = write_points(tmp_path, "CUBIC9")
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps([{"type": "explicit", **CUBIC9_CURVE.to_json()}]))
+    code, out = run(capsys, ["lower", path, str(aux)])
+    assert code == 0
+    assert "bound: 3\n" in out
 
 
 def run_with_aux(tmp_path, capsys, specs):
@@ -340,6 +363,17 @@ def test_check_fixture_ok(capsys):
     code, out = run(capsys, ["check", "--fixture", "L4Q3-D"])
     assert code == 0
     assert out.startswith("ok")
+
+
+# the six vertices of the complete quadrilateral x0 x1 x2 (x0+x1+x2): the
+# fallback's sweep attains 2 at m = 2, not at the value's denominator 1
+def test_check_reads_the_depth_of_a_fallback_verdict_from_its_sweep(tmp_path, capsys):
+    path = write_points(tmp_path, "quadrilateral", [[0, 0, 1], [0, 1, 0], [1, 0, 0],
+                                                    [0, 1, -1], [1, 0, -1], [1, -1, 0]])
+    code, out = run(capsys, ["check", path])
+    assert code == 0
+    assert out.startswith("ok")
+    assert out.rstrip().endswith("exact 2")
 
 
 def test_check_catches_a_floor_above_alpha(monkeypatch):
