@@ -1,4 +1,4 @@
-"""Divisor upper bounds and memoized sweeps of initial degrees."""
+"""Divisor upper bounds and sweeps of initial degrees."""
 
 from fractions import Fraction
 
@@ -69,21 +69,12 @@ class SweepEntry:
 
 
 class Engine:
-    """Memoizes searched initial degrees by scheme content, m and search floor."""
-
-    def __init__(self):
-        self._memo = {}
+    """Initial degrees of uniform schemes; holds no state, so
+    sweep(...) is Engine().sweep(...)."""
 
     def alpha_uniform(self, points, m, lower_hint=None):
-        scheme = FatPointScheme.uniform(points, m)
         floor = degree_floor(lower_hint, m) if lower_hint is not None else None
-        # searches from different floors record different h0_trace rows
-        key = (scheme.key(), floor)
-        if key in self._memo:
-            return self._memo[key]
-        result = alpha(scheme, min_degree=floor)
-        self._memo[key] = result
-        return result
+        return alpha(FatPointScheme.uniform(points, m), min_degree=floor)
 
     def sweep(self, points, m_max, lower_hint=None):
         """alpha(mX)/m for m = 1..m_max, each entry with a checked witness.
@@ -97,9 +88,6 @@ class Engine:
         lifted.  Otherwise alpha(mX) is searched from alpha((m-1)X) + 1, or
         the hint's floor if higher: a first partial of a witness for mX is a
         witness for (m-1)X one degree lower, so that floor is proven.
-
-        Product entries never enter the memo: they carry no h0_trace, and
-        the memo holds searches alone.
         """
         if m_max < 1:
             raise ValueError("m_max must be >= 1")
@@ -118,8 +106,7 @@ class Engine:
             floor = entries[-1].alpha + 1
             if lower_hint is not None:
                 floor = max(floor, degree_floor(lower_hint, m))
-            # a hint of floor/m is the degree floor itself
-            found = self.alpha_uniform(points, m, Fraction(floor, m))
+            found = alpha(scheme, min_degree=floor)
             entries.append(SweepEntry(m, found.alpha, found.witness, "search"))
         return entries
 

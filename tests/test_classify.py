@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import transform_points, unimodular
+from helpers import chords_through, transform_points, unimodular
 from waldschmidt.bezout import LowerBoundCertificate, verify_certificate
 from waldschmidt.classify import InconsistencyError, classify
 from waldschmidt.engine import verify_upper
-from waldschmidt.fatpoints import FatPointScheme
-from waldschmidt.fixtures import fixture, fixture_names
+from waldschmidt.fatpoints import FatPointScheme, alpha
+from waldschmidt.fixtures import conic_point, fixture, fixture_names
 from waldschmidt.geometry import DuplicatePointError, NonUniqueConicError, ProjPoint
 from golden import GOLDEN
 
@@ -198,6 +198,28 @@ def test_lp_subset_note_only_for_a_proper_subset():
     assert "note" not in lower
     lower = classify(fixture("L5Q3-3QC").points).to_json()["certificates"]["lower"]
     assert lower["note"] == "restricted to a seven-point subset"
+
+
+# eight or more conic points and an external q: the LP keeps two chords
+# through q whole and one end of every further chord
+@pytest.mark.parametrize("ts, q, chords, family", [
+    ((0, 1, 2, 3, -1, -2, 4, 5), (1, 0, 1), 1, "conic8/low-concurrency"),
+    ((0, 1, 2, 3, -1, -2, 4, 5), (3, 3, 2), 2, "conic8/low-concurrency"),
+    ((2, F(1, 2), 3, F(1, 3), -2, F(-1, 2), 0, 5), (-1, 0, 1), 3,
+     "conic8/low-concurrency"),
+    ((0, 1, 2, 3, 4, 5, 6, -1, -2), (1, 0, 1), 1, "conic-many/external"),
+])
+def test_seven_point_subset_keeps_chords_through_q(ts, q, chords, family):
+    conic_pts = [conic_point(t) for t in ts]
+    q = ProjPoint(*q)
+    assert len(chords_through(q, conic_pts)) == chords
+    points = conic_pts + [q]
+    res = classify(points)
+    assert res.family == family
+    assert (res.lower, res.upper) == (F(13, 5), 3)
+    assert verify_certificate(res.certificates["lower"])
+    for m in (1, 2, 3):
+        assert res.lower <= F(alpha(FatPointScheme.uniform(points, m)).alpha, m)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -31,6 +31,16 @@ def test_classify_text_output(tmp_path, capsys):
     assert "exact: 16/7" in out
 
 
+def test_classify_text_output_of_an_interval(tmp_path, capsys):
+    path = write_points(tmp_path, "NINE-72")
+    code, out = run(capsys, ["classify", path])
+    assert code == 0
+    lines = out.splitlines()
+    assert "family: nine/7conic+2/plain-external" in lines
+    assert "interval: [13/5, 3]" in lines
+    assert "note: exact value not settled for this family" in lines
+
+
 def test_classify_json_roundtrip(tmp_path, capsys):
     path = write_points(tmp_path, "CONIC6-TYPE1")
     code, out = run(capsys, ["--json", "classify", path])
@@ -109,15 +119,18 @@ def test_lower_command_echoes_reference_multipliers(tmp_path, capsys):
     assert duals["line(0,1)"] == "1/9"
 
 
+# the nodal cubic x1^2*x2 - x0^3 - x0^2*x2 passes through (0:0:1) of CONIC5,
+# so it reaches admission and is rejected there as singular
 def test_lower_rejects_unverifiable_cubic(tmp_path, capsys):
     path = write_points(tmp_path, "CONIC5")
     aux = tmp_path / "aux.json"
     aux.write_text(json.dumps([
         {"type": "explicit", "degree": 3,
-         "coeffs": ["1", "0", "0", "0", "0", "0", "1", "0", "0", "1"]},
+         "coeffs": ["-1", "0", "-1", "0", "0", "0", "0", "1", "0", "0"]},
     ]))
     code, out = run(capsys, ["lower", path, str(aux)])
-    assert code == cli.EXIT_INPUT_ERROR or "unverif" in out.lower()
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "is not a line, an irreducible conic or a smooth cubic" in out
 
 
 # x0^2*x2 is reducible, so the LP rejects it and ignores the old
@@ -336,6 +349,17 @@ def test_upper_command(tmp_path, capsys):
     code, out = run(capsys, ["upper", path, str(divisor)])
     assert code == 0
     assert "5/2" in out
+
+
+def test_upper_command_with_a_conic_term(tmp_path, capsys):
+    path = write_points(tmp_path, "CONIC5")
+    divisor = tmp_path / "div.json"
+    divisor.write_text(json.dumps({"m": 1, "terms": [
+        {"coeff": 1, "conic": [0, 1, 2, 3, 4]},
+    ]}))
+    code, out = run(capsys, ["upper", path, str(divisor)])
+    assert code == 0
+    assert out.splitlines() == ["upper bound: 2 (degree 2 at multiplicity 1)"]
 
 
 def test_upper_insufficient_multiplicity(tmp_path, capsys):

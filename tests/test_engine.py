@@ -47,6 +47,15 @@ def test_verify_upper_rejects_and_names_point():
     assert "(0:0:1)" in str(err.value)
 
 
+def test_verify_upper_rejects_a_non_uniform_scheme():
+    fx = fixture("L4Q3-D")
+    carrier = line_through(fx.points[0], fx.points[1])
+    dv = FormalDivisor([(carrier, 1)], 1)
+    scheme = FatPointScheme(fx.points, [1] * (len(fx.points) - 1) + [2])
+    with pytest.raises(ValueError, match="uniform scheme"):
+        verify_upper(dv, scheme)
+
+
 def test_verify_upper_matches_expanded_product():
     fx = fixture("CONIC6+Q")
     cubic = cubic_with_double_point(fx.points[:6], fx.points[6])
@@ -161,32 +170,20 @@ def test_sweep_survives_a_hint_above_the_constant():
     assert_witnesses_hold(pts, hinted)
 
 
-def test_product_entries_stay_out_of_the_memo():
-    eng = Engine()
-    pts = fixture("NINE-54").points
-    entries = eng.sweep(pts, 4)
-    # at m = 4, 3 + 9 and 6 + 6 tie: the least a is taken
-    assert [e.provenance for e in entries] == [
-        "search", "product 1+1", "product 1+2", "product 1+3"]
-    assert [key[0][1][0] for key in eng._memo] == [1]
-
-
-def test_engine_memoizes():
-    eng = Engine()
-    pts = fixture("CONIC5").points
-    first = eng.alpha_uniform(pts, 1)
-    second = eng.alpha_uniform(pts, 1)
-    assert first is second
-
-
-def test_engine_memo_keyed_on_search_floor():
-    # a floor above alpha(2X) = 5 fails its check and the search finds 5; a
-    # later unhinted call must search again rather than reuse it
+def test_alpha_uniform_drops_a_floor_above_alpha():
+    # a floor above alpha(2X) = 5 fails its check and the search finds 5,
+    # as unhinted calls do
     pts = fixture("CONIC6+Q").points
     eng = Engine()
     assert eng.alpha_uniform(pts, 2, lower_hint=F(4)).alpha == 5
     assert eng.alpha_uniform(pts, 2).alpha == 5
     assert Engine().alpha_uniform(pts, 2).alpha == 5
+
+
+def test_engine_holds_no_state():
+    eng = Engine()
+    eng.sweep(fixture("CONIC7+Q-SUB3").points, 3)
+    assert vars(eng) == {}
 
 
 def test_divisor_validation():
